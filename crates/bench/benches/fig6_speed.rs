@@ -25,11 +25,11 @@ fn main() {
     let flat: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
     let (serial, _) = time_min(10, || {
         let mut work = flat.clone();
-        ossa_destruct::translate_corpus_with(&mut work, &options, 1).total().remaining_copies
+        ossa_destruct::translate_corpus(&mut work, &options, 1).total().remaining_copies
     });
     let (parallel, _) = time_min(10, || {
         let mut work = flat.clone();
-        ossa_destruct::translate_corpus_with(&mut work, &options, 0).total().remaining_copies
+        ossa_destruct::translate_corpus(&mut work, &options, 0).total().remaining_copies
     });
     println!("  {:<44} {serial:>10.4}s", "batch engine (serial)");
     println!(

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use ossa_bench::alloc::allocation_count;
 use ossa_destruct::{
-    insertion, set_coalesce_probe, translate_corpus_isolated_policy, translate_corpus_serial,
+    insertion, set_coalesce_probe, translate_corpus, translate_corpus_isolated,
     translate_out_of_ssa_scratch, CoalesceStage, EnginePolicy, Limits, OutOfSsaOptions,
     TranslateScratch, ValidationMode,
 };
@@ -148,14 +148,14 @@ fn main() {
     // caches are out of the way (the steady-state numbers are the gated ones).
     {
         let mut work = functions.clone();
-        let _ = translate_corpus_serial(&mut work, &options);
+        let _ = translate_corpus(&mut work, &options, 1);
     }
 
     // Whole batch-serial translation.
     let total = {
         let mut work = functions.clone();
         let before = allocation_count();
-        let _ = translate_corpus_serial(&mut work, &options);
+        let _ = translate_corpus(&mut work, &options, 1);
         allocation_count() - before
     };
 
@@ -320,7 +320,7 @@ fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&st
     let (validation_failures, recovered_functions, liveness_fallbacks) = {
         let corpus = ossa_cfggen::spec_like_corpus(scale, true);
         let mut work: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
-        let stats = translate_corpus_isolated_policy(
+        let stats = translate_corpus_isolated(
             &mut work,
             options,
             &Limits::UNBOUNDED,
@@ -417,12 +417,12 @@ fn coalesce_drilldown(
     // Warm-up pass (no probe) so recycled caches reach steady state.
     {
         let mut work = functions.to_vec();
-        let _ = translate_corpus_serial(&mut work, options);
+        let _ = translate_corpus(&mut work, options, 1);
     }
     let mut work = functions.to_vec();
     set_coalesce_probe(Some(coalesce_stage_probe));
     let before = allocation_count();
-    let _ = translate_corpus_serial(&mut work, options);
+    let _ = translate_corpus(&mut work, options, 1);
     let total_allocs = allocation_count() - before;
     set_coalesce_probe(None);
     let (allocs, nanos) = PROBE_STATE.with(|state| (state.borrow().allocs, state.borrow().nanos));

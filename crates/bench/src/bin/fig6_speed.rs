@@ -64,14 +64,14 @@ fn main() {
     let (batch_allocs, phase, batch_queries) = {
         let mut work = flat.clone();
         let before = allocation_count();
-        let stats = ossa_destruct::translate_corpus_serial(&mut work, &options);
+        let stats = ossa_destruct::translate_corpus(&mut work, &options, 1);
         let total = stats.total();
         (allocation_count() - before, total.phase_seconds, total.interference_queries)
     };
     let streaming_allocs = {
         let work = flat.clone();
         let before = allocation_count();
-        let _ = ossa_destruct::translate_stream_with(work, &options, 1);
+        let _ = ossa_destruct::translate_stream(work, &options, 1);
         allocation_count() - before
     };
     // Pooled streaming engine: three passes over the corpus through one
@@ -89,7 +89,7 @@ fn main() {
     let time_batch = |threads: usize| -> f64 {
         let mut work = flat.clone();
         let start = std::time::Instant::now();
-        let _ = ossa_destruct::translate_corpus_with(&mut work, &options, threads);
+        let _ = ossa_destruct::translate_corpus(&mut work, &options, threads);
         start.elapsed().as_secs_f64()
     };
     // Self-checking engine: the same serial batch run under Structural
@@ -100,7 +100,7 @@ fn main() {
     let time_batch_validated = || -> f64 {
         let mut work = flat.clone();
         let start = std::time::Instant::now();
-        let _ = ossa_destruct::translate_corpus_isolated_policy(
+        let _ = ossa_destruct::translate_corpus_isolated(
             &mut work,
             &options,
             &Limits::UNBOUNDED,
@@ -114,7 +114,7 @@ fn main() {
     // reports how many functions demoted the fast liveness checker.
     let (validation_failures, recovered_functions, liveness_fallbacks) = {
         let mut work = flat.clone();
-        let stats = ossa_destruct::translate_corpus_isolated_policy(
+        let stats = ossa_destruct::translate_corpus_isolated(
             &mut work,
             &options,
             &Limits::UNBOUNDED,

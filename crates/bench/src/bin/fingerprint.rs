@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use ossa_destruct::{translate_corpus_serial, OutOfSsaOptions};
+use ossa_destruct::{translate_corpus, OutOfSsaOptions};
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     let minimal = ("Minimal", OutOfSsaOptions::default().minimal_coalescing());
     for (name, options) in OutOfSsaOptions::figure5_variants().into_iter().chain([minimal]) {
         let mut work = functions.clone();
-        let stats = translate_corpus_serial(&mut work, &options);
+        let stats = translate_corpus(&mut work, &options, 1);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for func in &work {
             text.clear();

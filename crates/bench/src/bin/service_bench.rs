@@ -32,11 +32,9 @@ use std::time::Instant;
 use ossa_bench::service_load::scripted_overload_stats;
 use ossa_bench::{corpus, DEFAULT_SCALE};
 use ossa_destruct::{
-    translate_corpus_serial, translate_function_isolated_policy, EnginePolicy, Limits,
-    OutOfSsaOptions, TranslateScratch, ValidationMode,
+    translate_corpus, EnginePolicy, EngineWorker, Limits, OutOfSsaOptions, ValidationMode,
 };
 use ossa_ir::Function;
-use ossa_liveness::FunctionAnalyses;
 use ossa_service::{ServiceConfig, ServiceResponse, ServiceStats, TranslationService};
 
 fn flatten(scale: f64) -> Vec<Function> {
@@ -55,7 +53,7 @@ fn serial_seconds(functions: &[Function], options: &OutOfSsaOptions, samples: us
     for i in 0..=samples.max(1) {
         let mut work = functions.to_vec();
         let start = Instant::now();
-        let _ = translate_corpus_serial(&mut work, options);
+        let _ = translate_corpus(&mut work, options, 1);
         let elapsed = start.elapsed().as_secs_f64();
         if i > 0 {
             best = best.min(elapsed);
@@ -117,22 +115,14 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 fn references(functions: &[Function], validation: ValidationMode) -> Vec<Function> {
     let options = OutOfSsaOptions::default();
     let policy = EnginePolicy::validating(validation);
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
+    let mut worker = EngineWorker::new();
     functions
         .iter()
         .map(|func| {
             let mut func = func.clone();
-            analyses.invalidate_cfg();
-            translate_function_isolated_policy(
-                &mut func,
-                &options,
-                &Limits::default(),
-                &policy,
-                &mut analyses,
-                &mut scratch,
-            )
-            .expect("healthy corpus function translates");
+            worker
+                .translate_isolated(&mut func, &options, &Limits::default(), &policy)
+                .expect("healthy corpus function translates");
             func
         })
         .collect()

@@ -139,7 +139,7 @@ fn main() {
     // variant, and are then checked against the interpreter oracle.
     for (variant, options) in quality_variants() {
         let mut translated: Vec<Function> = cases.iter().map(|(_, f, _)| f.clone()).collect();
-        let corpus_stats = translate_corpus(&mut translated, &options);
+        let corpus_stats = translate_corpus(&mut translated, &options, 0);
         for (((case, func, inputs), work), stats) in
             cases.iter().zip(&translated).zip(&corpus_stats.per_function)
         {

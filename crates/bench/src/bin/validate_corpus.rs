@@ -57,7 +57,7 @@ fn main() -> ExitCode {
          validation, 1 conservative retry, {threads} threads"
     );
     let start = std::time::Instant::now();
-    let stats = ossa_destruct::translate_corpus_isolated_policy(
+    let stats = ossa_destruct::translate_corpus_isolated(
         &mut work,
         &options,
         &Limits::UNBOUNDED,

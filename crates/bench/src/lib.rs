@@ -29,8 +29,7 @@ use ossa_cfggen::{
     spec_num_functions, GenScratch, Workload, SPEC_BENCHMARKS,
 };
 use ossa_destruct::{
-    translate_corpus_serial, translate_corpus_with, translate_out_of_ssa,
-    translate_stream_pooled_serial, translate_stream_with, ClassCheck, EngineWorker,
+    translate_corpus, translate_out_of_ssa, translate_stream, ClassCheck, EngineWorker,
     InterferenceMode, OutOfSsaOptions, OutOfSsaStats, PooledSource,
 };
 use ossa_ir::{Function, FunctionPool, PoolStats};
@@ -221,9 +220,9 @@ pub fn streaming_allocation_passes(
     for _ in 0..passes.max(1) {
         source.rewind();
         let before = alloc::allocation_count();
-        let stats = translate_stream_pooled_serial(&mut source, &mut worker, options, |_, _, _| {});
+        let stats = worker.drain(&mut source, options, None, |_, _| {});
         pass_allocations.push(alloc::allocation_count() - before);
-        debug_assert_eq!(stats.per_function.len(), functions_per_pass);
+        debug_assert_eq!(stats.results.len(), functions_per_pass);
     }
     StreamingProfile { functions_per_pass, pass_allocations, pool: worker.pool.stats() }
 }
@@ -234,7 +233,7 @@ pub fn streaming_allocation_passes(
 pub fn run_variant(workload: &Workload, options: &OutOfSsaOptions) -> (OutOfSsaStats, f64) {
     let mut funcs = workload.functions.clone();
     let start = Instant::now();
-    let stats = translate_corpus_serial(&mut funcs, options);
+    let stats = translate_corpus(&mut funcs, options, 1);
     (stats.total(), start.elapsed().as_secs_f64())
 }
 
@@ -247,12 +246,12 @@ pub fn run_variant_parallel(
 ) -> (OutOfSsaStats, f64) {
     let mut funcs = workload.functions.clone();
     let start = Instant::now();
-    let stats = translate_corpus_with(&mut funcs, options, threads);
+    let stats = translate_corpus(&mut funcs, options, threads);
     (stats.total(), start.elapsed().as_secs_f64())
 }
 
 /// Runs one translation variant over one workload through the serial
-/// *streaming* engine (`translate_stream_with`, one worker). The input
+/// *streaming* engine (`translate_stream`, one worker). The input
 /// functions are cloned into a queue before the timer starts, so the timed
 /// region is exactly the engine draining an iterator — comparable with
 /// [`run_variant`]'s batch-serial timing.
@@ -262,7 +261,7 @@ pub fn run_variant_streaming(
 ) -> (OutOfSsaStats, f64) {
     let queue = workload.functions.clone();
     let start = Instant::now();
-    let (_funcs, stats) = translate_stream_with(queue, options, 1);
+    let (_funcs, stats) = translate_stream(queue, options, 1);
     (stats.total(), start.elapsed().as_secs_f64())
 }
 

@@ -363,17 +363,9 @@ pub struct OutOfSsaOptions {
     pub weighted: bool,
     /// Sequentialize the remaining parallel copies at the end.
     pub sequentialize: bool,
-    /// Early-exit threshold of the profitability-ordered affinity loop. The
-    /// global affinity list is processed in decreasing block-frequency
-    /// order, so once the weight of the next affinity drops below this
-    /// value the entire remaining cold tail is abandoned without
-    /// interference tests — everything skipped is at most this profitable.
-    /// `0.0` (the default) keeps every affinity and is bit-identical to the
-    /// exhaustive loop. Raising it trades static copies in cold blocks for
-    /// decision time; the Figure 5 evaluation found no positive threshold
-    /// that is equal-or-better on every variant (skipping an affinity can
-    /// only leave more copies), so the knob ships disabled by default.
-    pub abort_threshold: f64,
+    /// Skip the global affinity loop entirely (set only by
+    /// [`OutOfSsaOptions::minimal_coalescing`]).
+    skip_affinities: bool,
 }
 
 impl Default for OutOfSsaOptions {
@@ -386,7 +378,7 @@ impl Default for OutOfSsaOptions {
             class_check: ClassCheck::Linear,
             weighted: true,
             sequentialize: true,
-            abort_threshold: 0.0,
+            skip_affinities: false,
         }
     }
 }
@@ -503,21 +495,14 @@ impl OutOfSsaOptions {
         self.sequentialize = sequentialize;
         self
     }
-    /// Sets the cold-tail abort threshold of the affinity loop (see
-    /// [`OutOfSsaOptions::abort_threshold`]).
-    pub fn with_abort_threshold(mut self, threshold: f64) -> Self {
-        self.abort_threshold = threshold;
-        self
-    }
-
     /// The conservative configuration the recovery ladder retries failed
     /// functions on: the coalescing-minimal `Intersect` variant on the
     /// sets-based [`InterferenceMode::InterCheck`] backend with the
     /// quadratic class check — the simplest, most battle-tested path
     /// through the engine, avoiding the fast liveness checker, the value
-    /// table, copy sharing and the cold-tail abort. Sequentialization and
-    /// weighting are preserved from `self` so the retry produces output of
-    /// the shape the caller asked for.
+    /// table and copy sharing. Sequentialization and weighting are
+    /// preserved from `self` so the retry produces output of the shape the
+    /// caller asked for.
     pub fn conservative_fallback(&self) -> Self {
         Self {
             strategy: Strategy::Intersect,
@@ -527,19 +512,18 @@ impl OutOfSsaOptions {
             class_check: ClassCheck::Quadratic,
             weighted: self.weighted,
             sequentialize: self.sequentialize,
-            abort_threshold: 0.0,
+            skip_affinities: false,
         }
     }
 
     /// The last rung of the service degradation ladder: the
     /// [`OutOfSsaOptions::conservative_fallback`] configuration with the
-    /// cold-tail abort threshold set to `+inf`, so *every* affinity is
-    /// abandoned — no coalescing beyond the mandatory φ-isolation, the
-    /// least work the translation can do while still emitting correct
-    /// (copy-heavy) output. Used when a shedding service values latency
-    /// over copy quality.
+    /// global affinity loop skipped, so *every* affinity is abandoned — no
+    /// coalescing beyond the mandatory φ-isolation, the least work the
+    /// translation can do while still emitting correct (copy-heavy) output.
+    /// Used when a shedding service values latency over copy quality.
     pub fn minimal_coalescing(&self) -> Self {
-        Self { abort_threshold: f64::INFINITY, ..self.conservative_fallback() }
+        Self { skip_affinities: true, ..self.conservative_fallback() }
     }
 }
 
@@ -1122,14 +1106,8 @@ fn decide<L: BlockLiveness>(
     affinities.extend_from_slice(plain_copies);
     sort_moves_by_weight_desc(affinities, sort_buf, &weight);
     coalesce_probe(CoalesceStage::Decide);
-    for &m in affinities.iter() {
-        // Profitability early exit: the list is sorted by decreasing
-        // weight, so once one affinity falls below the abort threshold the
-        // whole remaining tail does too — everything skipped is at most
-        // `abort_threshold` profitable. Disabled (bit-identical) at 0.0.
-        if options.abort_threshold > 0.0 && weight(m.block) < options.abort_threshold {
-            break;
-        }
+    let decided = if options.skip_affinities { &[][..] } else { &affinities[..] };
+    for &m in decided {
         if classes.same_class(m.dst, m.src) {
             moves_coalesced += 1;
             continue;

@@ -1,36 +1,37 @@
-//! Batch and streaming out-of-SSA translation over a corpus of functions.
+//! Batch and streaming out-of-SSA translation over a corpus of functions,
+//! and the one attempt ladder every fault-isolated translation climbs.
 //!
 //! A JIT (or an AOT compiler doing whole-program work) does not translate
-//! one function: it drains a queue of them. [`translate_corpus`] is the
-//! batch entry point — each function gets its own [`FunctionAnalyses`]
-//! cache, shared across the phases of its translation, and independent
-//! functions run in parallel on a scoped-thread worker pool (the standard
-//! library only; the build environment has no external crates).
+//! one function: it drains a queue of them. Four entry points cover input
+//! shape × fault isolation:
 //!
-//! [`translate_stream`] is the streaming front end: it drains an *iterator*
-//! of functions, so a JIT queue (or a channel's receiver) can feed the
-//! engine without materializing the whole corpus first. Items are pulled
-//! from the iterator one at a time as workers free up; each worker owns one
-//! [`FunctionAnalyses`] and one [`TranslateScratch`] whose storage is
-//! *recycled* across the functions it translates (the caches are
-//! invalidated, not reallocated), so steady-state translation performs
-//! almost no per-function allocation.
+//! | input                       | plain                | fault-isolated                |
+//! |-----------------------------|----------------------|-------------------------------|
+//! | slice, translated in place  | [`translate_corpus`] | [`translate_corpus_isolated`] |
+//! | iterator of owned functions | [`translate_stream`] | [`translate_stream_isolated`] |
 //!
-//! [`translate_stream_pooled`] closes the remaining allocation loop: the
-//! input is a [`PooledSource`] that builds each incoming function *into*
-//! recycled storage checked out of the worker's [`FunctionPool`], and the
-//! engine retires each translated function's storage back to that pool once
-//! the consumer has seen it. After warm-up, translating one more function
-//! touches the heap a bounded number of times regardless of how many
-//! functions have already streamed through — O(1) steady-state heap traffic
-//! for an unbounded stream.
+//! All four run on one corpus driver: `threads` workers (`0` = one per
+//! available core, `1` = serially on the calling thread) pull items one at a
+//! time — a worker stuck on a large function does not starve the others —
+//! and each owns an [`EngineWorker`] whose caches and scratch are
+//! invalidated, never reallocated, between functions. Results are collected
+//! by input index, so parallel, serial, batch and streaming runs produce
+//! bit-identical functions and statistics, and a stream's iterator is pulled
+//! lazily rather than collected up front.
 //!
-//! Parallel, serial, batch and streaming execution all produce bit-identical
-//! functions and statistics: per-function work is deterministic and results
-//! are collected by input index, so [`CorpusStats::per_function`] lines up
-//! with the input order regardless of scheduling.
+//! Two [`EngineWorker`] methods serve a caller-owned, warm worker:
+//! [`EngineWorker::translate_isolated`] translates one function, and
+//! [`EngineWorker::drain`] serially drains a [`PooledSource`], which builds
+//! each incoming function *into* storage checked out of the worker's
+//! [`FunctionPool`]; the engine retires that storage once the consumer has
+//! seen the result. After warm-up, translating one more function touches the
+//! heap a bounded number of times, however long the stream.
+//!
+//! Every fault-isolated translation — the engine's, the pass pipeline's and
+//! the translation service's degradation rungs — climbs
+//! [`EngineWorker::climb`], the single attempt ladder.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use ossa_ir::{Function, FunctionPool};
 use ossa_liveness::FunctionAnalyses;
@@ -65,8 +66,8 @@ impl RecoveryPolicy {
 
 /// Self-checking configuration of an isolated engine: what to validate on
 /// each translated function and how hard to try to recover failures. The
-/// default (`Off`, no retries) is a pure pass-through — the engine behaves
-/// byte-for-byte like the policy-free entry points.
+/// default (`Off`, no retries) is a pure pass-through — one attempt, no
+/// pristine snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnginePolicy {
     /// Post-translation output validation mode.
@@ -88,23 +89,37 @@ impl EnginePolicy {
     }
 
     /// `true` when the policy changes nothing — no validation, no retries —
-    /// letting the per-function driver skip the pristine snapshot entirely.
+    /// letting the ladder skip the pristine snapshot entirely.
     pub fn is_passthrough(&self) -> bool {
         self.validation == ValidationMode::Off && self.recovery.max_retries == 0
+    }
+
+    /// The policy's rung schedule for [`EngineWorker::climb`], computed on
+    /// the fly: rung 0 runs `options`, every retry rung runs
+    /// [`OutOfSsaOptions::conservative_fallback`], all validated at the
+    /// policy's mode.
+    pub fn rungs<'a>(
+        &self,
+        options: &'a OutOfSsaOptions,
+    ) -> impl Iterator<Item = (u32, OutOfSsaOptions, ValidationMode)> + 'a {
+        let validation = self.validation;
+        (0..=self.recovery.max_retries).map(move |rung| {
+            let options = if rung == 0 { options.clone() } else { options.conservative_fallback() };
+            (rung, options, validation)
+        })
     }
 }
 
 /// The complete recycled state of one engine worker: the analysis caches and
 /// translation scratch hoisted out of the per-function loop, plus the
-/// [`FunctionPool`] free list that recycles *function storage itself* for
-/// pool-aware streaming sources.
+/// [`FunctionPool`] free list that recycles *function storage itself* (for
+/// pooled sources and the ladder's pristine snapshots).
 ///
 /// A worker is the unit of steady-state allocation freedom: once every
 /// buffer in it has grown to the high-water mark of the functions it has
 /// seen, translating one more function of comparable size allocates nothing.
-/// The serial pooled entry points take the worker by `&mut` so a caller
-/// (e.g. the benchmark harness) can keep it warm across multiple passes and
-/// observe warm-up versus steady-state behaviour directly.
+/// A caller that keeps one (the pass pipeline, a service worker, a benchmark
+/// harness) keeps it warm across calls.
 #[derive(Debug, Default)]
 pub struct EngineWorker {
     /// Cached per-function analyses; invalidated, never reallocated, between
@@ -112,23 +127,15 @@ pub struct EngineWorker {
     pub analyses: FunctionAnalyses,
     /// Translation scratch buffers, reused as-is between functions.
     pub scratch: TranslateScratch,
-    /// Free list of retired `Function` storage handed to the stream source.
+    /// Free list of retired `Function` storage.
     pub pool: FunctionPool,
-}
-
-impl EngineWorker {
-    /// Creates a cold worker; every buffer grows on first use and is
-    /// recycled afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A pool-aware stream of input functions.
 ///
 /// Where a plain `Iterator<Item = Function>` source must allocate fresh
 /// function storage for every item it yields, a `PooledSource` is handed the
-/// engine's [`FunctionPool`] and is expected to build each incoming function
+/// worker's [`FunctionPool`] and is expected to build each incoming function
 /// *into* a checked-out slot (via
 /// [`FunctionBuilder::reuse`](ossa_ir::builder::FunctionBuilder::reuse) or a
 /// generator's `*_into` entry point), closing the recycling loop: the
@@ -150,7 +157,7 @@ impl<F: FnMut(&mut FunctionPool) -> Option<Function>> PooledSource for F {
     }
 }
 
-/// Statistics of one batch translation.
+/// Statistics of one plain corpus translation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CorpusStats {
     /// Per-function statistics, in input order.
@@ -229,402 +236,319 @@ impl IsolatedCorpusStats {
     }
 }
 
-/// Translates one function out of SSA with full fault isolation: the input
-/// is verified and checked against `limits` up front, the translation runs
-/// under a panic boundary with the fixpoint-fuel budget installed, and any
-/// failure is returned as a typed [`TranslateError`] instead of unwinding
-/// into the caller.
-///
-/// On `Err`, `analyses` and `scratch` are *quarantined*: an unwind can leave
-/// them mid-mutation, so both are replaced by fresh instances (the one place
-/// the engine deliberately pays allocations — translation results are
-/// deterministic regardless of recycled storage, so healthy neighbours stay
-/// bit-identical). `func` itself may have been partially rewritten and must
-/// not be used as a translation result.
-pub fn translate_function_isolated(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    ossa_liveness::fuel::set_fixpoint_fuel(limits.max_fixpoint_iters);
-    let caught = fault::catch_translate(|| {
-        fault::enter_phase(&func.name, TranslatePhase::Verify);
-        limits.check_function(func)?;
+/// The outcome of one [`EngineWorker::climb`].
+#[derive(Debug)]
+pub struct Climb<R> {
+    /// The output of the first rung that succeeded — its statistics tagged
+    /// with the ladder's validation failures and [`RecoveryOutcome`] — or
+    /// the error of the last rung.
+    pub result: Result<R, TranslateError>,
+    /// The absolute rung that produced `result`.
+    pub rung: u32,
+    /// Rungs whose output validation rejected, across the whole climb.
+    pub validation_failures: usize,
+}
+
+/// Resets the failpoint attempt to 0 when a climb ends, on every exit path.
+#[cfg(feature = "failpoints")]
+struct AttemptReset;
+
+#[cfg(feature = "failpoints")]
+impl Drop for AttemptReset {
+    fn drop(&mut self) {
+        fault::failpoints::set_attempt(0);
+    }
+}
+
+impl EngineWorker {
+    /// Creates a cold worker; every buffer grows on first use and is
+    /// recycled afterwards.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The attempt ladder: climbs `rungs` — `(absolute rung, options,
+    /// validation)` triples, computed on the fly — until one succeeds. On
+    /// each rung it
+    ///
+    /// 1. records the rung as the failpoint attempt (injection arms on rung
+    ///    0 only; a guard resets it when the climb ends);
+    /// 2. from the second rung on, runs `between_rungs` (e.g. a backoff)
+    ///    and restores `func` from the pristine snapshot;
+    /// 3. checks `limits`, then runs `body` under a panic boundary with the
+    ///    fixpoint-fuel budget installed, and validates the output against
+    ///    the snapshot at the rung's mode;
+    /// 4. on failure, counts validation rejections and quarantines the
+    ///    worker's caches and scratch (an unwind or a rejected output leaves
+    ///    them suspect) — the one place the engine deliberately allocates.
+    ///
+    /// The first successful rung's statistics carry the validation failures
+    /// and, above the first rung, [`RecoveryOutcome::Recovered`].
+    ///
+    /// With `snapshot`, the pristine copy is checked out of (and retired
+    /// back to) the worker's pool, so warm steady-state snapshotting
+    /// allocates nothing, and a function that fails every rung is handed
+    /// back restored. Without it the schedule must be one unvalidated rung
+    /// (the pass-through case), and a failed `func` may be partially
+    /// rewritten.
+    pub fn climb<R: AsMut<OutOfSsaStats>>(
+        &mut self,
+        func: &mut Function,
+        limits: &Limits,
+        snapshot: bool,
+        rungs: impl IntoIterator<Item = (u32, OutOfSsaOptions, ValidationMode)>,
+        mut between_rungs: impl FnMut(u32),
+        mut body: impl FnMut(&mut Self, &mut Function, &OutOfSsaOptions) -> Result<R, TranslateError>,
+    ) -> Climb<R> {
+        let pristine = snapshot.then(|| self.pool.checkout_clone_of(func));
+        #[cfg(feature = "failpoints")]
+        let _reset = AttemptReset;
+        let mut first = None;
+        let mut validation_failures = 0;
+        let mut outcome = None;
+        for (rung, options, validation) in rungs {
+            let first = *first.get_or_insert(rung);
+            if rung != first {
+                between_rungs(rung);
+                func.clone_from(pristine.as_ref().expect("a retry rung needs a snapshot"));
+            }
+            #[cfg(feature = "failpoints")]
+            fault::failpoints::set_attempt(rung);
+            ossa_liveness::fuel::set_fixpoint_fuel(limits.max_fixpoint_iters);
+            let result = fault::catch_translate(|| {
+                fault::enter_phase(&func.name, TranslatePhase::Verify);
+                limits.check_function(func)?;
+                let output = body(self, func, &options)?;
+                if validation != ValidationMode::Off {
+                    fault::enter_phase(&func.name, TranslatePhase::Validate);
+                    let reference = pristine.as_ref().expect("validation needs a snapshot");
+                    validate_translation(reference, func, &options, validation)?;
+                }
+                Ok(output)
+            })
+            .unwrap_or_else(Err);
+            ossa_liveness::fuel::set_fixpoint_fuel(None);
+            match result {
+                Ok(mut output) => {
+                    let stats = output.as_mut();
+                    stats.validation_failures = validation_failures;
+                    if rung != first {
+                        stats.recovery = RecoveryOutcome::Recovered { attempt: rung - first + 1 };
+                    }
+                    outcome = Some((Ok(output), rung));
+                    break;
+                }
+                Err(error) => {
+                    if matches!(error, TranslateError::ValidationFailed { .. }) {
+                        validation_failures += 1;
+                    }
+                    self.analyses = FunctionAnalyses::new();
+                    self.scratch = TranslateScratch::new();
+                    outcome = Some((Err(error), rung));
+                }
+            }
+        }
+        let (result, rung) = outcome.expect("a ladder has at least one rung");
+        if let Some(pristine) = pristine {
+            if result.is_err() {
+                func.clone_from(&pristine);
+            }
+            self.pool.retire(pristine);
+        }
+        Climb { result, rung, validation_failures }
+    }
+
+    /// The attempt body of the isolated engine, for callers climbing their
+    /// own rung schedule: rejects input that is not in SSA form as
+    /// [`TranslateError::Malformed`], then translates it on this worker.
+    pub fn ssa_attempt(
+        &mut self,
+        func: &mut Function,
+        options: &OutOfSsaOptions,
+    ) -> Result<OutOfSsaStats, TranslateError> {
         if let Err(errors) = ossa_ir::verify_ssa(func) {
             return Err(TranslateError::Malformed {
                 phase: TranslatePhase::Verify,
                 detail: errors.to_string(),
             });
         }
-        Ok(translate_out_of_ssa_scratch(func, options, analyses, scratch))
-    });
-    ossa_liveness::fuel::set_fixpoint_fuel(None);
-    let result = caught.unwrap_or_else(Err);
-    if result.is_err() {
-        *analyses = FunctionAnalyses::new();
-        *scratch = TranslateScratch::new();
-    }
-    result
-}
-
-/// Like [`translate_function_isolated`], under an [`EnginePolicy`]: after a
-/// successful translation the output is checked at the policy's
-/// [`ValidationMode`] (against a pristine pre-translation snapshot), and
-/// *any* failure — panic, limit, validation — is retried up to
-/// `policy.recovery.max_retries` times on the conservative configuration
-/// ([`OutOfSsaOptions::conservative_fallback`]) with quarantined, fresh
-/// worker state and the function restored from the snapshot.
-///
-/// On success, the returned stats carry the per-function
-/// [`RecoveryOutcome`] and the number of validation failures observed along
-/// the way. A pass-through policy (the default) takes the exact
-/// [`translate_function_isolated`] path — no snapshot, no extra allocation.
-pub fn translate_function_isolated_policy(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    if policy.is_passthrough() {
-        return translate_function_isolated(func, options, limits, analyses, scratch);
+        Ok(self.translate(func, options))
     }
 
-    let pristine = func.clone();
-    translate_isolated_policy_with_pristine(
-        func, &pristine, options, limits, policy, analyses, scratch,
-    )
-}
-
-/// Like [`translate_function_isolated_policy`], but the pristine
-/// pre-translation snapshot is checked out of (and retired back to) the
-/// worker's [`FunctionPool`](ossa_ir::fnpool::FunctionPool) instead of being
-/// freshly cloned per call. The snapshot is read-only for the whole attempt
-/// ladder, so even a failed request retires its slot — warm steady-state
-/// snapshotting allocates nothing. This is the per-request entry point of
-/// the persistent service workers and the pooled streaming policy engines.
-pub fn translate_function_isolated_policy_pooled(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    worker: &mut EngineWorker,
-) -> Result<OutOfSsaStats, TranslateError> {
-    if policy.is_passthrough() {
-        return translate_function_isolated(
-            func,
-            options,
-            limits,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
+    /// Translates one function out of SSA with full fault isolation under
+    /// `policy`: the input is checked against `limits` and the SSA verifier
+    /// up front, the translation runs under a panic boundary with the
+    /// fixpoint-fuel budget installed, and the output is validated at the
+    /// policy's [`ValidationMode`]. *Any* failure — panic, limit, validation
+    /// — is retried up to `policy.recovery.max_retries` times on the
+    /// conservative configuration, and the last one is returned as a typed
+    /// [`TranslateError`] instead of unwinding into the caller. See
+    /// [`EngineWorker::climb`] for the quarantine and snapshot contract.
+    pub fn translate_isolated(
+        &mut self,
+        func: &mut Function,
+        options: &OutOfSsaOptions,
+        limits: &Limits,
+        policy: &EnginePolicy,
+    ) -> Result<OutOfSsaStats, TranslateError> {
+        let snapshot = !policy.is_passthrough();
+        self.climb(func, limits, snapshot, policy.rungs(options), |_| {}, Self::ssa_attempt).result
     }
 
-    let pristine = worker.pool.checkout_clone_of(func);
-    let result = translate_isolated_policy_with_pristine(
-        func,
-        &pristine,
-        options,
-        limits,
-        policy,
-        &mut worker.analyses,
-        &mut worker.scratch,
-    );
-    worker.pool.retire(pristine);
-    result
-}
-
-/// The shared attempt ladder of the policy engines: translate, validate,
-/// and on any failure restore `func` from `pristine`, quarantine the worker
-/// state and retry conservatively.
-fn translate_isolated_policy_with_pristine(
-    func: &mut Function,
-    pristine: &Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    let max_attempts = 1 + policy.recovery.max_retries;
-    let mut validation_failures = 0usize;
-    let mut last_error = None;
-    for attempt in 0..max_attempts {
-        #[cfg(feature = "failpoints")]
-        fault::failpoints::set_attempt(attempt);
-        let conservative;
-        let attempt_options = if attempt == 0 {
-            options
-        } else {
-            // A retry starts from scratch: pristine input, fresh worker
-            // state (the previous attempt's caches may hold decisions of
-            // the failed configuration), conservative options.
-            func.clone_from(pristine);
-            *analyses = FunctionAnalyses::new();
-            *scratch = TranslateScratch::new();
-            conservative = options.conservative_fallback();
-            &conservative
-        };
-        let result = translate_function_isolated(func, attempt_options, limits, analyses, scratch)
-            .and_then(|stats| {
-                let verdict = fault::catch_translate(|| {
-                    fault::enter_phase(&func.name, TranslatePhase::Validate);
-                    validate_translation(pristine, func, attempt_options, policy.validation)
-                })
-                .unwrap_or_else(Err);
-                verdict.map(|()| stats)
-            });
-        match result {
-            Ok(mut stats) => {
-                stats.validation_failures = validation_failures;
-                if attempt > 0 {
-                    stats.recovery = RecoveryOutcome::Recovered { attempt: attempt + 1 };
+    /// Serially drains `source` on this caller-owned worker, which stays
+    /// warm across calls: translate one stream to warm it up, and later
+    /// streams run (almost) allocation-free.
+    ///
+    /// Each function is built into storage checked out of the worker's
+    /// pool, translated — plainly, or with `isolation = Some((limits,
+    /// policy))` through [`EngineWorker::translate_isolated`] — handed to
+    /// `consumer` with its input index, and then retired back to the pool.
+    /// A function that failed is *discarded* instead, never recycled, so a
+    /// partially rewritten body can never leak into a later function.
+    pub fn drain<S: PooledSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        options: &OutOfSsaOptions,
+        isolation: Option<(&Limits, &EnginePolicy)>,
+        mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
+    ) -> IsolatedCorpusStats {
+        let mut results = Vec::new();
+        while let Some(mut func) = source.next_into(&mut self.pool) {
+            let result = match isolation {
+                None => Ok(self.translate(&mut func, options)),
+                Some((limits, policy)) => {
+                    self.translate_isolated(&mut func, options, limits, policy)
                 }
-                #[cfg(feature = "failpoints")]
-                fault::failpoints::set_attempt(0);
-                return Ok(stats);
-            }
-            Err(error) => {
-                if matches!(error, TranslateError::ValidationFailed { .. }) {
-                    validation_failures += 1;
+            };
+            match &result {
+                Ok(_) => {
+                    consumer(results.len(), Ok(&func));
+                    self.pool.retire(func);
                 }
-                // A rejected output means the worker state that produced it
-                // is suspect, exactly like an unwind; quarantine it.
-                *analyses = FunctionAnalyses::new();
-                *scratch = TranslateScratch::new();
-                last_error = Some(error);
+                Err(error) => {
+                    consumer(results.len(), Err(error));
+                    self.pool.discard(func);
+                }
             }
+            results.push(result);
         }
-    }
-    #[cfg(feature = "failpoints")]
-    fault::failpoints::set_attempt(0);
-    Err(last_error.expect("at least one attempt ran"))
-}
-
-/// Fault-isolated batch translation with the default thread count: like
-/// [`translate_corpus`], but a malformed, oversized or panicking function
-/// yields an error record instead of tearing down the corpus run. See
-/// [`translate_function_isolated`] for the per-function contract.
-pub fn translate_corpus_isolated(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-) -> IsolatedCorpusStats {
-    translate_corpus_isolated_with(funcs, options, limits, 0)
-}
-
-/// Like [`translate_corpus_isolated`], with an explicit worker count
-/// (`0` = one per available core). `threads == 1` runs serially on the
-/// calling thread.
-pub fn translate_corpus_isolated_with(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    threads: usize,
-) -> IsolatedCorpusStats {
-    translate_corpus_isolated_policy(funcs, options, limits, &EnginePolicy::default(), threads)
-}
-
-/// Like [`translate_corpus_isolated_with`], under an [`EnginePolicy`]: each
-/// function is validated and (on any failure) retried per
-/// [`translate_function_isolated_policy`]. The default policy is a pure
-/// pass-through.
-pub fn translate_corpus_isolated_policy(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    threads: usize,
-) -> IsolatedCorpusStats {
-    let threads = effective_threads(threads, funcs.len());
-    if threads <= 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let results = funcs
-            .iter_mut()
-            .map(|func| {
-                analyses.invalidate_cfg();
-                translate_function_isolated_policy(
-                    func,
-                    options,
-                    limits,
-                    policy,
-                    &mut analyses,
-                    &mut scratch,
-                )
-            })
-            .collect();
-        return IsolatedCorpusStats { results, threads: 1 };
+        IsolatedCorpusStats { results, threads: 1 }
     }
 
-    let num_funcs = funcs.len();
-    let results: Mutex<Vec<Option<Result<OutOfSsaStats, TranslateError>>>> =
-        Mutex::new(vec![None; num_funcs]);
-    drive_workers(threads, funcs.iter_mut().enumerate(), |(index, func), worker| {
-        let result = translate_function_isolated_policy(
-            func,
-            options,
-            limits,
-            policy,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(result);
-    });
-
-    let results = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|result| result.expect("every function translated"))
-        .collect();
-    IsolatedCorpusStats { results, threads }
+    /// Plain translation of one more function on the recycled state.
+    fn translate(&mut self, func: &mut Function, options: &OutOfSsaOptions) -> OutOfSsaStats {
+        self.analyses.invalidate_cfg();
+        translate_out_of_ssa_scratch(func, options, &mut self.analyses, &mut self.scratch)
+    }
 }
 
-/// Translates every function of `funcs` out of SSA in place, in parallel,
-/// with the default thread count (one worker per available core, capped by
-/// the corpus size).
+/// The corpus driver behind every batch and streaming entry point: runs
+/// `work` on each item of `items` with per-worker recycled state, feeding
+/// the results to `sink` in input order, and returns the number of worker
+/// threads used.
 ///
-/// Results are identical to calling
+/// `threads == 0` means one per available core; the count is capped by the
+/// iterator's upper size bound. One thread runs serially on the calling
+/// thread. Otherwise scoped workers pull items one at a time under a lock
+/// and deposit each result by index; poisoned locks are recovered so that a
+/// panic in one worker propagates as itself, not as a secondary lock error.
+fn drive<I, R>(
+    threads: usize,
+    items: I,
+    work: impl Fn(&mut EngineWorker, I::Item) -> R + Sync,
+    mut sink: impl FnMut(R),
+) -> usize
+where
+    I: Iterator + Send,
+    R: Send,
+{
+    let requested = match threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    };
+    let threads = requested.clamp(1, items.size_hint().1.unwrap_or(usize::MAX).max(1));
+    if threads == 1 {
+        let mut worker = EngineWorker::new();
+        for item in items {
+            sink(work(&mut worker, item));
+        }
+        return 1;
+    }
+
+    let source = Mutex::new(items.enumerate());
+    let deposits: Mutex<Vec<Option<R>>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut worker = EngineWorker::new();
+                loop {
+                    let next = source.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((index, item)) = next else { return };
+                    let result = work(&mut worker, item);
+                    let mut deposits = deposits.lock().unwrap_or_else(PoisonError::into_inner);
+                    if deposits.len() <= index {
+                        deposits.resize_with(index + 1, || None);
+                    }
+                    deposits[index] = Some(result);
+                }
+            });
+        }
+    });
+    for result in deposits.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        sink(result.expect("every item translated"));
+    }
+    threads
+}
+
+/// Translates every function of `funcs` out of SSA in place, on `threads`
+/// workers (`0` = one per available core; `1` = serially on the calling
+/// thread). Results are identical to calling
 /// [`translate_out_of_ssa`](crate::translate_out_of_ssa) on each function in
 /// order.
-pub fn translate_corpus(funcs: &mut [Function], options: &OutOfSsaOptions) -> CorpusStats {
-    translate_corpus_with(funcs, options, 0)
-}
-
-/// Like [`translate_corpus`], with an explicit worker count (`0` = one per
-/// available core). `threads == 1` runs serially on the calling thread.
-pub fn translate_corpus_with(
+pub fn translate_corpus(
     funcs: &mut [Function],
     options: &OutOfSsaOptions,
     threads: usize,
 ) -> CorpusStats {
-    let threads = effective_threads(threads, funcs.len());
-    if threads <= 1 {
-        return translate_corpus_serial(funcs, options);
-    }
-
-    let num_funcs = funcs.len();
-    let results: Mutex<Vec<Option<OutOfSsaStats>>> = Mutex::new(vec![None; num_funcs]);
-    drive_workers(threads, funcs.iter_mut().enumerate(), |(index, func), worker| {
-        let stats =
-            translate_out_of_ssa_scratch(func, options, &mut worker.analyses, &mut worker.scratch);
-        results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(stats);
-    });
-
-    let per_function = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|stats| stats.expect("every function translated"))
-        .collect();
+    let mut per_function = Vec::with_capacity(funcs.len());
+    let threads = drive(
+        threads,
+        funcs.iter_mut(),
+        |worker, func| worker.translate(func, options),
+        |stats| per_function.push(stats),
+    );
     CorpusStats { per_function, threads }
 }
 
-/// Shared worker pool of the batch and streaming engines: `threads` scoped
-/// workers pull items from `source` one at a time — a worker stuck on a
-/// large function does not starve the others — and run `work` with
-/// per-worker caches and scratch hoisted out of the per-function loop (the
-/// analyses are invalidated, not reallocated, between functions and the
-/// scratch buffers are reused as-is). Poisoned locks are recovered so that a
-/// panic in one worker propagates as itself, not as a secondary lock error.
-fn drive_workers<T, I, W>(threads: usize, source: I, work: W)
-where
-    T: Send,
-    I: Iterator<Item = T> + Send,
-    W: Fn(T, &mut EngineWorker) + Sync,
-{
-    let source = Mutex::new(source);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker = EngineWorker::new();
-                loop {
-                    let mut guard = source.lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(item) = guard.next() else { return };
-                    drop(guard);
-                    worker.analyses.invalidate_cfg();
-                    work(item, &mut worker);
-                }
-            });
-        }
-    });
+/// Fault-isolated [`translate_corpus`]: each function runs through
+/// [`EngineWorker::translate_isolated`] under `limits` and `policy`, so a
+/// malformed, oversized or panicking function yields an error record
+/// instead of tearing down the corpus run.
+pub fn translate_corpus_isolated(
+    funcs: &mut [Function],
+    options: &OutOfSsaOptions,
+    limits: &Limits,
+    policy: &EnginePolicy,
+    threads: usize,
+) -> IsolatedCorpusStats {
+    let mut results = Vec::with_capacity(funcs.len());
+    let threads = drive(
+        threads,
+        funcs.iter_mut(),
+        |worker, func| worker.translate_isolated(func, options, limits, policy),
+        |result| results.push(result),
+    );
+    IsolatedCorpusStats { results, threads }
 }
 
-/// Worker pool of the *pooled* streaming engines: like [`drive_workers`],
-/// but the source is a [`PooledSource`] pulled under the lock with the
-/// worker's own [`FunctionPool`], and each translated function is retired
-/// back to (or discarded from) that pool by the `work` closure. Items are
-/// numbered in pull order so consumers can correlate results with the input
-/// sequence.
-fn drive_pooled_workers<S, W>(threads: usize, source: S, work: W)
-where
-    S: PooledSource + Send,
-    W: Fn(usize, Function, &mut EngineWorker) + Sync,
-{
-    let source = Mutex::new((source, 0usize));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker = EngineWorker::new();
-                loop {
-                    let mut guard = source.lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(func) = guard.0.next_into(&mut worker.pool) else { return };
-                    let index = guard.1;
-                    guard.1 += 1;
-                    drop(guard);
-                    worker.analyses.invalidate_cfg();
-                    work(index, func, &mut worker);
-                }
-            });
-        }
-    });
-}
-
-/// Serial reference implementation of the batch API, used by the parity
-/// tests and as the `threads == 1` fast path.
-pub fn translate_corpus_serial(funcs: &mut [Function], options: &OutOfSsaOptions) -> CorpusStats {
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
-    let per_function = funcs
-        .iter_mut()
-        .map(|func| {
-            analyses.invalidate_cfg();
-            translate_out_of_ssa_scratch(func, options, &mut analyses, &mut scratch)
-        })
-        .collect();
-    CorpusStats { per_function, threads: 1 }
-}
-
-fn effective_threads(requested: usize, num_funcs: usize) -> usize {
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if requested == 0 { available } else { requested };
-    threads.clamp(1, num_funcs.max(1))
-}
-
-/// Translates every function yielded by `funcs` out of SSA, returning the
-/// translated functions in input order, with the default thread count.
+/// Translates every function yielded by `funcs` out of SSA on `threads`
+/// workers, returning the translated functions in input order.
 ///
-/// This is the streaming front end of the engine: the input is an iterator
-/// (a JIT queue, a channel receiver's `into_iter`, a generator), pulled one
-/// function at a time as workers free up, so the corpus is never
-/// materialized on the input side. Results are bit-identical to running
-/// [`translate_corpus`] on the collected input.
-pub fn translate_stream<I>(funcs: I, options: &OutOfSsaOptions) -> (Vec<Function>, CorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_with(funcs, options, 0)
-}
-
-/// Like [`translate_stream`], with an explicit worker count (`0` = one per
-/// available core). `threads == 1` runs serially on the calling thread,
-/// still reusing one analysis cache and scratch across all functions.
-pub fn translate_stream_with<I>(
+/// The input is an iterator (a JIT queue, a channel receiver's `into_iter`,
+/// a generator), pulled one function at a time as workers free up, so the
+/// corpus is never materialized on the input side. Results are
+/// bit-identical to [`translate_corpus`] on the collected input.
+pub fn translate_stream<I>(
     funcs: I,
     options: &OutOfSsaOptions,
     threads: usize,
@@ -634,93 +558,28 @@ where
     I::IntoIter: Send,
 {
     let iter = funcs.into_iter();
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // The corpus size is unknown up front (that is the point of streaming),
-    // so the worker count cannot be clamped by it; degenerate cases simply
-    // leave some workers without an item to pull.
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let mut out = Vec::with_capacity(iter.size_hint().0);
-        let mut per_function = Vec::with_capacity(iter.size_hint().0);
-        for mut func in iter {
-            analyses.invalidate_cfg();
-            per_function.push(translate_out_of_ssa_scratch(
-                &mut func,
-                options,
-                &mut analyses,
-                &mut scratch,
-            ));
+    let mut out = Vec::with_capacity(iter.size_hint().0);
+    let mut per_function = Vec::with_capacity(iter.size_hint().0);
+    let threads = drive(
+        threads,
+        iter,
+        |worker, mut func| {
+            let stats = worker.translate(&mut func, options);
+            (func, stats)
+        },
+        |(func, stats)| {
             out.push(func);
-        }
-        return (out, CorpusStats { per_function, threads: 1 });
-    }
-
-    // Workers pull `(index, function)` pairs from the shared iterator one at
-    // a time and deposit the results by index, so the output order is the
-    // input order no matter how the scheduler interleaves them.
-    let results: Mutex<Vec<Option<(Function, OutOfSsaStats)>>> = Mutex::new(Vec::new());
-    drive_workers(threads, iter.enumerate(), |(index, mut func), worker| {
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some((func, stats));
-    });
-
-    let mut out = Vec::new();
-    let mut per_function = Vec::new();
-    for slot in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        let (func, stats) = slot.expect("every streamed function translated");
-        out.push(func);
-        per_function.push(stats);
-    }
+            per_function.push(stats);
+        },
+    );
     (out, CorpusStats { per_function, threads })
 }
 
-/// Fault-isolated streaming translation with the default thread count: like
-/// [`translate_stream`], but a poisoned function yields `Err` in the output
-/// (its partially rewritten body is discarded) while the rest of the stream
-/// keeps flowing, bit-identical to a fault-free run. The outcome slots of
-/// the returned [`IsolatedCorpusStats`] line up with the output vector.
+/// Fault-isolated [`translate_stream`]: a poisoned function yields `Err` in
+/// the output (its body is discarded) while the rest of the stream keeps
+/// flowing, bit-identical to a fault-free run. The outcome slots of the
+/// returned [`IsolatedCorpusStats`] line up with the output vector.
 pub fn translate_stream_isolated<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-) -> (Vec<Result<Function, TranslateError>>, IsolatedCorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_isolated_with(funcs, options, limits, 0)
-}
-
-/// Like [`translate_stream_isolated`], with an explicit worker count
-/// (`0` = one per available core). `threads == 1` runs serially on the
-/// calling thread.
-pub fn translate_stream_isolated_with<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    threads: usize,
-) -> (Vec<Result<Function, TranslateError>>, IsolatedCorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_isolated_policy(funcs, options, limits, &EnginePolicy::default(), threads)
-}
-
-/// Like [`translate_stream_isolated_with`], under an [`EnginePolicy`] (see
-/// [`translate_function_isolated_policy`] for the per-function contract).
-pub fn translate_stream_isolated_policy<I>(
     funcs: I,
     options: &OutOfSsaOptions,
     limits: &Limits,
@@ -732,322 +591,27 @@ where
     I::IntoIter: Send,
 {
     let iter = funcs.into_iter();
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let mut out = Vec::with_capacity(iter.size_hint().0);
-        let mut results = Vec::with_capacity(iter.size_hint().0);
-        for mut func in iter {
-            analyses.invalidate_cfg();
-            let result = translate_function_isolated_policy(
-                &mut func,
-                options,
-                limits,
-                policy,
-                &mut analyses,
-                &mut scratch,
-            );
-            out.push(result.as_ref().map(|_| func).map_err(Clone::clone));
+    let mut out = Vec::with_capacity(iter.size_hint().0);
+    let mut results = Vec::with_capacity(iter.size_hint().0);
+    let threads = drive(
+        threads,
+        iter,
+        |worker, mut func| {
+            let result = worker.translate_isolated(&mut func, options, limits, policy);
+            (result.as_ref().map(|_| func).map_err(Clone::clone), result)
+        },
+        |(output, result)| {
+            out.push(output);
             results.push(result);
-        }
-        return (out, IsolatedCorpusStats { results, threads: 1 });
-    }
-
-    type Slot = Option<(Result<Function, TranslateError>, Result<OutOfSsaStats, TranslateError>)>;
-    let deposits: Mutex<Vec<Slot>> = Mutex::new(Vec::new());
-    drive_workers(threads, iter.enumerate(), |(index, mut func), worker| {
-        let result = translate_function_isolated_policy(
-            &mut func,
-            options,
-            limits,
-            policy,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        let output = result.as_ref().map(|_| func).map_err(Clone::clone);
-        let mut deposits = deposits.lock().unwrap_or_else(|e| e.into_inner());
-        if deposits.len() <= index {
-            deposits.resize_with(index + 1, || None);
-        }
-        deposits[index] = Some((output, result));
-    });
-
-    let mut out = Vec::new();
-    let mut results = Vec::new();
-    for slot in deposits.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        let (output, result) = slot.expect("every streamed function translated");
-        out.push(output);
-        results.push(result);
-    }
+        },
+    );
     (out, IsolatedCorpusStats { results, threads })
 }
 
-/// Serial pooled streaming translation on the calling thread, with a
-/// caller-owned [`EngineWorker`].
-///
-/// This is the O(1)-steady-state-heap-traffic core of the engine: the source
-/// builds each incoming function into storage checked out of `worker.pool`,
-/// the translation runs entirely in `worker`'s recycled caches and scratch,
-/// `consumer` observes the translated function by reference, and the storage
-/// is retired back to the pool for the source's next item. Because the
-/// worker is caller-owned it stays warm across calls — translate one corpus
-/// to warm up, call again, and the second pass allocates (almost) nothing
-/// regardless of how many functions stream through.
-pub fn translate_stream_pooled_serial<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    mut consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
-) -> CorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    let mut per_function = Vec::new();
-    let mut index = 0usize;
-    while let Some(mut func) = source.next_into(&mut worker.pool) {
-        worker.analyses.invalidate_cfg();
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        consumer(index, &func, &stats);
-        worker.pool.retire(func);
-        per_function.push(stats);
-        index += 1;
+impl AsMut<OutOfSsaStats> for OutOfSsaStats {
+    fn as_mut(&mut self) -> &mut OutOfSsaStats {
+        self
     }
-    CorpusStats { per_function, threads: 1 }
-}
-
-/// Pooled streaming translation with the default thread count. See
-/// [`translate_stream_pooled_with`].
-pub fn translate_stream_pooled<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    consumer: impl Fn(usize, &Function, &OutOfSsaStats) + Sync,
-) -> CorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_with(source, options, 0, consumer)
-}
-
-/// Pooled streaming translation with an explicit worker count (`0` = one
-/// per available core; `threads == 1` runs serially on the calling thread).
-///
-/// Each worker owns an [`EngineWorker`]; the shared source is pulled under a
-/// lock with the pulling worker's own pool, so every worker recycles its own
-/// function storage independently. `consumer` is called with each translated
-/// function (by reference, before its storage is retired) tagged with its
-/// input index; it may run concurrently from several workers and must
-/// therefore be `Sync`. Translated functions and statistics are bit-identical
-/// to the unpooled [`translate_stream_with`] on the same input sequence.
-pub fn translate_stream_pooled_with<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    threads: usize,
-    consumer: impl Fn(usize, &Function, &OutOfSsaStats) + Sync,
-) -> CorpusStats
-where
-    S: PooledSource + Send,
-{
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut source = source;
-        let mut worker = EngineWorker::new();
-        return translate_stream_pooled_serial(&mut source, &mut worker, options, consumer);
-    }
-
-    let results: Mutex<Vec<Option<OutOfSsaStats>>> = Mutex::new(Vec::new());
-    drive_pooled_workers(threads, source, |index, mut func, worker| {
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        consumer(index, &func, &stats);
-        worker.pool.retire(func);
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some(stats);
-    });
-
-    let per_function = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|stats| stats.expect("every pooled function translated"))
-        .collect();
-    CorpusStats { per_function, threads }
-}
-
-/// Serial fault-isolated pooled streaming translation with a caller-owned
-/// [`EngineWorker`]: like [`translate_stream_pooled_serial`], but each
-/// function runs under the fault boundary of
-/// [`translate_function_isolated`]. On failure the worker's caches are
-/// quarantined as usual — and the poisoned function slot is *discarded*
-/// from the pool, never recycled, so a partially rewritten body can never
-/// leak into a later function's storage.
-pub fn translate_stream_pooled_isolated_serial<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    translate_stream_pooled_isolated_serial_policy(
-        source,
-        worker,
-        options,
-        limits,
-        &EnginePolicy::default(),
-        consumer,
-    )
-}
-
-/// Like [`translate_stream_pooled_isolated_serial`], under an
-/// [`EnginePolicy`] (see [`translate_function_isolated_policy`] for the
-/// per-function contract). A function that fails *every* attempt discards
-/// its pool slot exactly like a policy-free failure.
-pub fn translate_stream_pooled_isolated_serial_policy<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    let mut results = Vec::new();
-    let mut index = 0usize;
-    while let Some(mut func) = source.next_into(&mut worker.pool) {
-        worker.analyses.invalidate_cfg();
-        let result =
-            translate_function_isolated_policy_pooled(&mut func, options, limits, policy, worker);
-        match &result {
-            Ok(_) => {
-                consumer(index, Ok(&func));
-                worker.pool.retire(func);
-            }
-            Err(error) => {
-                consumer(index, Err(error));
-                worker.pool.discard(func);
-            }
-        }
-        results.push(result);
-        index += 1;
-    }
-    IsolatedCorpusStats { results, threads: 1 }
-}
-
-/// Fault-isolated pooled streaming translation with the default thread
-/// count. See [`translate_stream_pooled_isolated_with`].
-pub fn translate_stream_pooled_isolated<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_isolated_with(source, options, limits, 0, consumer)
-}
-
-/// Like [`translate_stream_pooled_isolated_serial`], with an explicit worker
-/// count (`0` = one per available core; `threads == 1` runs serially).
-/// Failed functions quarantine their worker's caches and *discard* the
-/// poisoned pool slot; surviving functions are bit-identical to a
-/// fault-free run.
-pub fn translate_stream_pooled_isolated_with<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    threads: usize,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_isolated_policy(
-        source,
-        options,
-        limits,
-        &EnginePolicy::default(),
-        threads,
-        consumer,
-    )
-}
-
-/// Like [`translate_stream_pooled_isolated_with`], under an
-/// [`EnginePolicy`] (see [`translate_function_isolated_policy`] for the
-/// per-function contract).
-pub fn translate_stream_pooled_isolated_policy<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    threads: usize,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut source = source;
-        let mut worker = EngineWorker::new();
-        return translate_stream_pooled_isolated_serial_policy(
-            &mut source,
-            &mut worker,
-            options,
-            limits,
-            policy,
-            consumer,
-        );
-    }
-
-    let results: Mutex<Vec<Option<Result<OutOfSsaStats, TranslateError>>>> = Mutex::new(Vec::new());
-    drive_pooled_workers(threads, source, |index, mut func, worker| {
-        let result =
-            translate_function_isolated_policy_pooled(&mut func, options, limits, policy, worker);
-        match &result {
-            Ok(_) => {
-                consumer(index, Ok(&func));
-                worker.pool.retire(func);
-            }
-            Err(error) => {
-                consumer(index, Err(error));
-                worker.pool.discard(func);
-            }
-        }
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some(result);
-    });
-
-    let results = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|result| result.expect("every pooled function translated"))
-        .collect();
-    IsolatedCorpusStats { results, threads }
 }
 
 #[cfg(test)]
@@ -1070,7 +634,7 @@ mod tests {
 
         let serial_stats: Vec<_> =
             serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
-        let batch_stats = translate_corpus(&mut batch, &options);
+        let batch_stats = translate_corpus(&mut batch, &options, 0);
 
         assert_eq!(serial_stats, batch_stats.per_function);
         for (a, b) in serial.iter().zip(&batch) {
@@ -1079,37 +643,21 @@ mod tests {
     }
 
     #[test]
-    fn pooled_policy_variant_matches_cloning_variant_and_recycles_pristine() {
+    fn warm_worker_matches_fresh_workers_and_recycles_pristine() {
         let options = OutOfSsaOptions::default();
         let limits = Limits::default();
         let policy = EnginePolicy::validating(ValidationMode::Structural).with_retries(1);
         let corpus = small_corpus(6);
 
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
         let mut worker = EngineWorker::new();
         for func in &corpus {
-            let mut via_clone = func.clone();
-            analyses.invalidate_cfg();
-            let a = translate_function_isolated_policy(
-                &mut via_clone,
-                &options,
-                &limits,
-                &policy,
-                &mut analyses,
-                &mut scratch,
-            );
-            let mut via_pool = func.clone();
-            worker.analyses.invalidate_cfg();
-            let b = translate_function_isolated_policy_pooled(
-                &mut via_pool,
-                &options,
-                &limits,
-                &policy,
-                &mut worker,
-            );
+            let mut via_fresh = func.clone();
+            let a =
+                EngineWorker::new().translate_isolated(&mut via_fresh, &options, &limits, &policy);
+            let mut via_warm = func.clone();
+            let b = worker.translate_isolated(&mut via_warm, &options, &limits, &policy);
             assert_eq!(a, b);
-            assert_eq!(via_clone, via_pool, "pooled pristine changed output: {}", func.name);
+            assert_eq!(via_fresh, via_warm, "warm worker changed output: {}", func.name);
         }
         // The pristine snapshot slot is retired back every request: after the
         // first checkout miss, every later snapshot recycles it.
@@ -1121,12 +669,72 @@ mod tests {
     }
 
     #[test]
+    fn ladder_recovers_above_its_first_rung_and_restores_on_exhaustion() {
+        let options = OutOfSsaOptions::default();
+        let (input, _) = generate_ssa_function("ladder", &GenConfig::small(), 4);
+        let rungs = |first: u32, last: u32| {
+            (first..=last).map(|rung| (rung, OutOfSsaOptions::default(), ValidationMode::Off))
+        };
+        let mut worker = EngineWorker::new();
+
+        // Rung 1 fails, rung 2 heals: the outcome counts attempts from the
+        // first rung climbed, and the between-rungs hook ran once.
+        let mut hooks = Vec::new();
+        let mut attempts = 0;
+        let mut func = input.clone();
+        let climb = worker.climb(
+            &mut func,
+            &Limits::UNBOUNDED,
+            true,
+            rungs(1, 2),
+            |rung| hooks.push(rung),
+            |worker, func, options| {
+                attempts += 1;
+                if attempts == 1 {
+                    panic!("first rung fails");
+                }
+                worker.ssa_attempt(func, options)
+            },
+        );
+        assert_eq!(climb.rung, 2);
+        assert_eq!(hooks, vec![2]);
+        let stats = climb.result.expect("second rung heals");
+        assert_eq!(stats.recovery, RecoveryOutcome::Recovered { attempt: 2 });
+        let mut expected = input.clone();
+        translate_out_of_ssa(&mut expected, &options);
+        assert_eq!(func, expected);
+
+        // Every rung fails: the last error comes back and `func` is the
+        // pristine input again. One snapshot per climb, retired both times.
+        let mut func = input.clone();
+        let climb = worker.climb(
+            &mut func,
+            &Limits::UNBOUNDED,
+            true,
+            rungs(0, 1),
+            |_| {},
+            |_, _, _| {
+                Err::<OutOfSsaStats, _>(TranslateError::ValidationFailed {
+                    phase: TranslatePhase::Validate,
+                    detail: "rejected".to_string(),
+                })
+            },
+        );
+        assert_eq!(climb.rung, 1);
+        assert_eq!(climb.validation_failures, 2);
+        assert!(climb.result.is_err());
+        assert_eq!(func, input);
+        assert_eq!(worker.pool.stats().checkouts, 2);
+        assert_eq!(worker.pool.stats().retired, 2);
+    }
+
+    #[test]
     fn explicit_thread_counts_agree() {
         let options = OutOfSsaOptions::sharing();
         let mut one = small_corpus(8);
         let mut four = one.clone();
-        let a = translate_corpus_with(&mut one, &options, 1);
-        let b = translate_corpus_with(&mut four, &options, 4);
+        let a = translate_corpus(&mut one, &options, 1);
+        let b = translate_corpus(&mut four, &options, 4);
         assert_eq!(a.per_function, b.per_function);
         assert_eq!(one, four);
         assert_eq!(a.total(), b.total());
@@ -1134,7 +742,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_is_fine() {
-        let stats = translate_corpus(&mut [], &OutOfSsaOptions::default());
+        let stats = translate_corpus(&mut [], &OutOfSsaOptions::default(), 0);
         assert!(stats.per_function.is_empty());
         assert_eq!(stats.total(), OutOfSsaStats::default());
     }
@@ -1145,11 +753,11 @@ mod tests {
         let corpus = small_corpus(10);
 
         let mut batch = corpus.clone();
-        let batch_stats = translate_corpus(&mut batch, &options);
+        let batch_stats = translate_corpus(&mut batch, &options, 0);
 
         // The streaming input is an iterator — the engine never sees the
         // collection.
-        let (streamed, stream_stats) = translate_stream(corpus.iter().cloned(), &options);
+        let (streamed, stream_stats) = translate_stream(corpus.iter().cloned(), &options, 0);
         assert_eq!(streamed, batch);
         assert_eq!(stream_stats.per_function, batch_stats.per_function);
     }
@@ -1158,8 +766,8 @@ mod tests {
     fn streaming_thread_counts_agree() {
         let options = OutOfSsaOptions::sharing();
         let corpus = small_corpus(9);
-        let (one, a) = translate_stream_with(corpus.iter().cloned(), &options, 1);
-        let (four, b) = translate_stream_with(corpus.iter().cloned(), &options, 4);
+        let (one, a) = translate_stream(corpus.iter().cloned(), &options, 1);
+        let (four, b) = translate_stream(corpus.iter().cloned(), &options, 4);
         assert_eq!(one, four);
         assert_eq!(a.per_function, b.per_function);
         assert_eq!(b.threads, 4);
@@ -1167,11 +775,10 @@ mod tests {
 
     #[test]
     fn empty_stream_is_fine() {
-        let (funcs, stats) = translate_stream(std::iter::empty(), &OutOfSsaOptions::default());
+        let (funcs, stats) = translate_stream(std::iter::empty(), &OutOfSsaOptions::default(), 0);
         assert!(funcs.is_empty());
         assert!(stats.per_function.is_empty());
-        let (funcs, stats) =
-            translate_stream_with(std::iter::empty(), &OutOfSsaOptions::default(), 3);
+        let (funcs, stats) = translate_stream(std::iter::empty(), &OutOfSsaOptions::default(), 3);
         assert!(funcs.is_empty());
         assert!(stats.per_function.is_empty());
     }
@@ -1188,7 +795,7 @@ mod tests {
         let source = corpus.iter().cloned().inspect(|_| {
             pulled.fetch_add(1, Ordering::Relaxed);
         });
-        let (funcs, _) = translate_stream_with(source, &options, 1);
+        let (funcs, _) = translate_stream(source, &options, 1);
         assert_eq!(funcs.len(), 5);
         assert_eq!(pulled.load(Ordering::Relaxed), 5);
     }
@@ -1215,25 +822,29 @@ mod tests {
         }
     }
 
+    fn stats_of(results: IsolatedCorpusStats) -> Vec<OutOfSsaStats> {
+        results.results.into_iter().map(Result::unwrap).collect()
+    }
+
     #[test]
     fn pooled_stream_matches_batch_translation() {
         let options = OutOfSsaOptions::default();
         let mut batch = small_corpus(10);
-        let batch_stats = translate_corpus(&mut batch, &options);
+        let batch_stats = translate_corpus(&mut batch, &options, 0);
 
-        let collected: Mutex<Vec<Option<Function>>> = Mutex::new(Vec::new());
-        let stats = translate_stream_pooled(pooled_small_source(10), &options, |index, func, _| {
-            let mut collected = collected.lock().unwrap();
-            if collected.len() <= index {
-                collected.resize_with(index + 1, || None);
-            }
-            collected[index] = Some(func.clone());
-        });
+        let mut collected = Vec::new();
+        let stats = EngineWorker::new().drain(
+            &mut pooled_small_source(10),
+            &options,
+            None,
+            |index, func| {
+                assert_eq!(index, collected.len());
+                collected.push(func.unwrap().clone());
+            },
+        );
 
-        let collected: Vec<Function> =
-            collected.into_inner().unwrap().into_iter().map(Option::unwrap).collect();
         assert_eq!(collected, batch);
-        assert_eq!(stats.per_function, batch_stats.per_function);
+        assert_eq!(stats_of(stats), batch_stats.per_function);
     }
 
     #[test]
@@ -1241,10 +852,8 @@ mod tests {
         let options = OutOfSsaOptions::default();
         let mut worker = EngineWorker::new();
 
-        let mut source = pooled_small_source(6);
-        let first =
-            translate_stream_pooled_serial(&mut source, &mut worker, &options, |_, _, _| {});
-        assert_eq!(first.per_function.len(), 6);
+        let first = worker.drain(&mut pooled_small_source(6), &options, None, |_, _| {});
+        assert_eq!(first.results.len(), 6);
         // Cold pool: every checkout allocated a fresh function.
         assert_eq!(worker.pool.stats().checkouts, 6);
         assert_eq!(worker.pool.stats().recycled, 5);
@@ -1253,10 +862,8 @@ mod tests {
 
         // Second pass over the same stream with the warm worker: every
         // checkout is a recycled slot, and the results are bit-identical.
-        let mut source = pooled_small_source(6);
-        let second =
-            translate_stream_pooled_serial(&mut source, &mut worker, &options, |_, _, _| {});
-        assert_eq!(second.per_function, first.per_function);
+        let second = worker.drain(&mut pooled_small_source(6), &options, None, |_, _| {});
+        assert_eq!(second.results, first.results);
         assert_eq!(worker.pool.stats().checkouts, 12);
         assert_eq!(worker.pool.stats().recycled, 11);
     }
@@ -1264,34 +871,33 @@ mod tests {
     #[test]
     fn pooled_thread_counts_agree() {
         let options = OutOfSsaOptions::sharing();
-        let a = translate_stream_pooled_with(pooled_small_source(9), &options, 1, |_, _, _| {});
-        let b = translate_stream_pooled_with(pooled_small_source(9), &options, 4, |_, _, _| {});
-        assert_eq!(a.per_function, b.per_function);
+        let a = EngineWorker::new().drain(&mut pooled_small_source(9), &options, None, |_, _| {});
+        let (_, b) = translate_stream(small_corpus(9), &options, 4);
+        assert_eq!(stats_of(a), b.per_function);
         assert_eq!(b.threads, 4);
     }
 
     #[test]
     fn pooled_isolated_matches_plain_pooled_on_healthy_input() {
         let options = OutOfSsaOptions::default();
-        let limits = Limits::default();
-        let plain = translate_stream_pooled_with(pooled_small_source(7), &options, 1, |_, _, _| {});
-        let isolated = translate_stream_pooled_isolated_with(
-            pooled_small_source(7),
+        let isolation = (&Limits::default(), &EnginePolicy::default());
+        let plain =
+            EngineWorker::new().drain(&mut pooled_small_source(7), &options, None, |_, _| {});
+        let isolated = EngineWorker::new().drain(
+            &mut pooled_small_source(7),
             &options,
-            &limits,
-            1,
+            Some(isolation),
             |_, result| assert!(result.is_ok()),
         );
         assert_eq!(isolated.num_errors(), 0);
-        let ok: Vec<_> = isolated.results.iter().map(|r| r.clone().unwrap()).collect();
-        assert_eq!(ok, plain.per_function);
+        assert_eq!(isolated.results, plain.results);
     }
 
     #[test]
     fn total_aggregates_counters() {
         let options = OutOfSsaOptions::default();
         let mut funcs = small_corpus(4);
-        let stats = translate_corpus(&mut funcs, &options);
+        let stats = translate_corpus(&mut funcs, &options, 0);
         let total = stats.total();
         assert_eq!(
             total.phis_removed,

@@ -440,9 +440,10 @@ pub mod failpoints {
     /// Phase-boundary hook: panics with a deterministic message when the
     /// armed campaign selects this site. Entering `Verify` marks a fresh
     /// per-function attempt, resetting the one-corruption-per-function
-    /// budget. Injected faults model *transient first-attempt* failures:
-    /// nothing fires on retries (see [`set_attempt`]), so recovery campaigns
-    /// can assert the conservative retry heals every poisoned function.
+    /// budget. Injected faults model *transient first-rung* failures:
+    /// nothing fires above rung 0 (see [`set_attempt`]), so recovery
+    /// campaigns can assert the conservative retry heals every poisoned
+    /// function.
     pub fn fire(func_name: &str, phase: TranslatePhase) {
         if phase == TranslatePhase::Verify {
             CORRUPTED.set(false);
@@ -485,16 +486,10 @@ pub mod failpoints {
     static CORRUPTION: RwLock<Option<CorruptionConfig>> = RwLock::new(None);
 
     thread_local! {
-        /// Retry attempt of the function currently translating on this
-        /// thread. Injection (panics and corruption alike) only arms on
-        /// attempt 0.
+        /// Absolute ladder rung of the function currently translating on
+        /// this thread. Injection (panics and corruption alike) only arms
+        /// on rung 0.
         static ATTEMPT: Cell<u32> = const { Cell::new(0) };
-        /// Attempt offset installed by a driver running its *own* retry
-        /// ladder above the engine (the translation service's degradation
-        /// rungs). The engine resets [`ATTEMPT`] to 0 at the start of every
-        /// policy call, which would re-arm injection on service-level
-        /// retries; the base keeps `current_attempt` nonzero there.
-        static ATTEMPT_BASE: Cell<u32> = const { Cell::new(0) };
         /// Whether the current function has already spent its
         /// one-corruption budget (reset at each `Verify` boundary).
         static CORRUPTED: Cell<bool> = const { Cell::new(false) };
@@ -510,26 +505,16 @@ pub mod failpoints {
         *CORRUPTION.write().unwrap() = None;
     }
 
-    /// Records the retry attempt of the function about to translate on this
-    /// thread. The isolated engines call this around each attempt; tests
-    /// never need to.
+    /// Records the absolute ladder rung of the function about to translate
+    /// on this thread. The attempt ladder calls this once per rung and
+    /// resets it to 0 when the climb ends; tests never need to.
     pub fn set_attempt(attempt: u32) {
         ATTEMPT.set(attempt);
     }
 
-    /// Records an attempt *offset* added on top of [`set_attempt`], for
-    /// drivers that run their own retry ladder above the engine's (the
-    /// translation service's degradation rungs). Injection arms only when
-    /// `base + attempt == 0`, so a service retry stays injection-free even
-    /// though the engine call inside it starts back at attempt 0.
-    pub fn set_attempt_base(base: u32) {
-        ATTEMPT_BASE.set(base);
-    }
-
-    /// The retry attempt most recently recorded via [`set_attempt`], offset
-    /// by [`set_attempt_base`].
+    /// The rung most recently recorded via [`set_attempt`].
     pub fn current_attempt() -> u32 {
-        ATTEMPT_BASE.get().saturating_add(ATTEMPT.get())
+        ATTEMPT.get()
     }
 
     /// Pure site predicate for corruption, mirroring [`should_fail`]: would

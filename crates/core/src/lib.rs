@@ -57,16 +57,9 @@ pub use coalesce::{
 };
 pub use congruence::{CongruenceClasses, DefOrderKey, EqualAncOut};
 pub use engine::{
-    translate_corpus, translate_corpus_isolated, translate_corpus_isolated_policy,
-    translate_corpus_isolated_with, translate_corpus_serial, translate_corpus_with,
-    translate_function_isolated, translate_function_isolated_policy,
-    translate_function_isolated_policy_pooled, translate_stream, translate_stream_isolated,
-    translate_stream_isolated_policy, translate_stream_isolated_with, translate_stream_pooled,
-    translate_stream_pooled_isolated, translate_stream_pooled_isolated_policy,
-    translate_stream_pooled_isolated_serial, translate_stream_pooled_isolated_serial_policy,
-    translate_stream_pooled_isolated_with, translate_stream_pooled_serial,
-    translate_stream_pooled_with, translate_stream_with, CorpusStats, EnginePolicy, EngineWorker,
-    IsolatedCorpusStats, PooledSource, RecoveryPolicy,
+    translate_corpus, translate_corpus_isolated, translate_stream, translate_stream_isolated,
+    Climb, CorpusStats, EnginePolicy, EngineWorker, IsolatedCorpusStats, PooledSource,
+    RecoveryPolicy,
 };
 pub use fault::{catch_translate, Limits, Resource, TranslateError, TranslatePhase};
 pub use insertion::{

@@ -1,10 +1,10 @@
 //! # ossa-service — overload-resilient out-of-SSA translation service
 //!
-//! A channel-backed, multi-worker translation service over the pooled
-//! isolated engines of [`ossa_destruct`]. Where the engine crate answers
-//! "what happens when one *function* misbehaves?" (panic isolation, typed
-//! errors, pristine-snapshot retries), this crate answers "what happens
-//! when the *load* misbehaves?" — and makes sure the answer is never
+//! A channel-backed, multi-worker translation service over the engine
+//! workers and attempt ladder of [`ossa_destruct`]. Where the engine crate
+//! answers "what happens when one *function* misbehaves?" (panic isolation,
+//! typed errors, pristine-snapshot retries), this crate answers "what
+//! happens when the *load* misbehaves?" — and makes sure the answer is never
 //! "unbounded queues, unbounded latency, and a process that falls over".
 //!
 //! ## The overload model
@@ -27,8 +27,10 @@
 //!    one succeeds: the configured options and validation, then
 //!    [`OutOfSsaOptions::conservative_fallback`] with validation dropped
 //!    one tier, then [`OutOfSsaOptions::minimal_coalescing`] with
-//!    validation off. Exponential backoff (bounded by the deadline)
-//!    separates rungs. Under sustained overload a global degradation level
+//!    validation off. The rungs are climbed on the engine's single attempt
+//!    ladder ([`EngineWorker::climb`]) with one pristine snapshot per
+//!    request; exponential backoff (bounded by the deadline) separates
+//!    rungs. Under sustained overload a global degradation level
 //!    *starts* requests further up the ladder, trading copy quality for
 //!    throughput; hysteresis thresholds govern when the level recovers.
 //! 4. **Workers** — persistent [`EngineWorker`]s (analysis caches, scratch,
@@ -48,8 +50,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ossa_destruct::{
-    translate_function_isolated_policy_pooled, EnginePolicy, EngineWorker, Limits, OutOfSsaOptions,
-    OutOfSsaStats, RecoveryOutcome, RecoveryPolicy, TranslateError, ValidationMode,
+    EngineWorker, Limits, OutOfSsaOptions, OutOfSsaStats, TranslateError, ValidationMode,
 };
 use ossa_ir::Function;
 use ossa_liveness::fuel;
@@ -337,11 +338,11 @@ impl Shared {
 }
 
 /// The options and validation mode of one absolute ladder rung.
-fn rung_config(config: &ServiceConfig, rung: usize) -> (OutOfSsaOptions, ValidationMode) {
+fn rung_config(config: &ServiceConfig, rung: u32) -> (u32, OutOfSsaOptions, ValidationMode) {
     match rung {
-        0 => (config.options.clone(), config.validation),
-        1 => (config.options.conservative_fallback(), drop_tier(config.validation)),
-        _ => (config.options.minimal_coalescing(), ValidationMode::Off),
+        0 => (rung, config.options.clone(), config.validation),
+        1 => (rung, config.options.conservative_fallback(), drop_tier(config.validation)),
+        _ => (rung, config.options.minimal_coalescing(), ValidationMode::Off),
     }
 }
 
@@ -542,128 +543,73 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
         return;
     }
 
-    let level = shared.level.load(Ordering::Relaxed).min(2) as usize;
+    let level = shared.level.load(Ordering::Relaxed).min(2);
     {
         let mut stats = shared.stats.lock().unwrap();
-        stats.per_level[level] += 1;
+        stats.per_level[level as usize] += 1;
         stats.queue_wait.record(waited);
     }
 
-    let start_rung = level;
-    let last_rung = (start_rung + shared.config.retries as usize).min(2);
+    // The ladder starts at the degradation level. The deadline is a property
+    // of the request: it spans every rung and backoff, and is cleared before
+    // the worker touches the next request.
+    let start_rung = u32::from(level);
+    let last_rung = start_rung.saturating_add(shared.config.retries).min(2);
+    let backoff = |rung: u32| {
+        let backoff = shared.config.retry_backoff * (1u32 << (rung - start_rung - 1));
+        let bounded = match entry.deadline {
+            Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
+            None => backoff,
+        };
+        if !bounded.is_zero() {
+            thread::sleep(bounded);
+        }
+    };
     let mut func = entry.func;
-    let pristine = engine.pool.checkout_clone_of(&func);
-    // A persistent worker's caches are stamped per function; invalidate
-    // (never reallocate) between requests, like the pooled stream drivers.
-    engine.analyses.invalidate_cfg();
-
-    // The deadline is a property of the request: it spans every rung and
-    // backoff, and is cleared before the worker touches the next request.
     fuel::set_deadline(entry.deadline);
-
-    let mut validation_failures = 0usize;
-    let mut last_error = None;
-    let mut success = None;
-    for rung in start_rung..=last_rung {
-        if rung > start_rung {
-            let backoff = shared.config.retry_backoff * (1u32 << (rung - start_rung - 1));
-            let bounded = match entry.deadline {
-                Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
-                None => backoff,
-            };
-            if !bounded.is_zero() {
-                thread::sleep(bounded);
-            }
-            func.clone_from(&pristine);
-        }
-        #[cfg(feature = "failpoints")]
-        ossa_destruct::fault::failpoints::set_attempt_base(rung as u32);
-
-        let (options, validation) = rung_config(&shared.config, rung);
-        let policy = EnginePolicy { validation, recovery: RecoveryPolicy::retries(0) };
-        match translate_function_isolated_policy_pooled(
-            &mut func,
-            &options,
-            &shared.config.limits,
-            &policy,
-            engine,
-        ) {
-            Ok(stats) => {
-                success = Some((stats, rung));
-                break;
-            }
-            Err(error) => {
-                if matches!(error, TranslateError::ValidationFailed { .. }) {
-                    validation_failures += 1;
-                }
-                last_error = Some(error);
-            }
-        }
-    }
-    #[cfg(feature = "failpoints")]
-    ossa_destruct::fault::failpoints::set_attempt_base(0);
+    let climb = engine.climb(
+        &mut func,
+        &shared.config.limits,
+        true,
+        (start_rung..=last_rung).map(|rung| rung_config(&shared.config, rung)),
+        backoff,
+        EngineWorker::ssa_attempt,
+    );
     fuel::set_deadline(None);
 
     let finished = Instant::now();
     let translate_seconds = finished.saturating_duration_since(dequeued).as_secs_f64();
     let total = finished.saturating_duration_since(entry.enqueued);
-
-    let response = match success {
-        Some((mut rung_stats, rung)) => {
-            rung_stats.validation_failures = validation_failures;
-            if rung > start_rung {
-                rung_stats.recovery =
-                    RecoveryOutcome::Recovered { attempt: (rung - start_rung + 1) as u32 };
-            }
-            let mut stats = shared.stats.lock().unwrap();
+    let mut stats = shared.stats.lock().unwrap();
+    stats.validation_failures += climb.validation_failures as u64;
+    stats.translate.record(finished.saturating_duration_since(dequeued));
+    stats.total.record(total);
+    let (outcome, returned) = match climb.result {
+        Ok(rung_stats) => {
             stats.completed += 1;
-            if rung > start_rung {
+            if climb.rung > start_rung {
                 stats.recovered += 1;
             }
-            stats.validation_failures += validation_failures as u64;
-            stats.translate.record(finished.saturating_duration_since(dequeued));
-            stats.total.record(total);
-            drop(stats);
-            engine.pool.retire(pristine);
-            ServiceResponse {
-                id: entry.id,
-                outcome: Ok(Completed {
-                    func,
-                    stats: rung_stats,
-                    level: level as u8,
-                    rung: rung as u8,
-                    translate_seconds,
-                }),
-                returned: None,
-                queue_seconds: waited.as_secs_f64(),
-                total_seconds: total.as_secs_f64(),
-            }
+            let rung = climb.rung as u8;
+            (Ok(Completed { func, stats: rung_stats, level, rung, translate_seconds }), None)
         }
-        None => {
-            let error = last_error.expect("at least one rung ran");
-            let mut stats = shared.stats.lock().unwrap();
+        Err(error) => {
             stats.failed += 1;
             if matches!(error, TranslateError::DeadlineExceeded { .. }) {
                 stats.deadline_exceeded += 1;
             }
-            stats.validation_failures += validation_failures as u64;
-            stats.translate.record(finished.saturating_duration_since(dequeued));
-            stats.total.record(total);
-            drop(stats);
-            // The final rung left `func` poisoned; hand the caller their
-            // input back, restored from the pristine snapshot.
-            func.clone_from(&pristine);
-            engine.pool.retire(pristine);
-            ServiceResponse {
-                id: entry.id,
-                outcome: Err(ServiceError::Translate(error)),
-                returned: Some(func),
-                queue_seconds: waited.as_secs_f64(),
-                total_seconds: total.as_secs_f64(),
-            }
+            // The ladder restored `func` from its pristine snapshot.
+            (Err(ServiceError::Translate(error)), Some(func))
         }
     };
-    let _ = entry.reply.send(response);
+    drop(stats);
+    let _ = entry.reply.send(ServiceResponse {
+        id: entry.id,
+        outcome,
+        returned,
+        queue_seconds: waited.as_secs_f64(),
+        total_seconds: total.as_secs_f64(),
+    });
 }
 
 #[cfg(test)]
@@ -696,8 +642,9 @@ mod tests {
         assert_eq!(stats.completed, 8);
         assert_eq!(stats.resolved(), 8);
         assert_eq!(stats.queue_wait.count(), 8);
-        // Persistent workers: pristine snapshots recycled through the pool.
-        assert!(stats.pool.checkouts >= 8);
+        // Persistent workers: one pristine snapshot per request, recycled
+        // through the pool.
+        assert_eq!(stats.pool.checkouts, 8);
         assert!(stats.pool.retired >= 8);
     }
 

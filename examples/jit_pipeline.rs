@@ -56,8 +56,8 @@ fn main() {
         pin_call_conventions(func);
     }
     let mut batch = ssa_forms.clone();
-    let corpus_stats = translate_corpus(&mut batch, &options);
-    let (streamed, stream_stats) = translate_stream(ssa_forms.iter().cloned(), &options);
+    let corpus_stats = translate_corpus(&mut batch, &options, 0);
+    let (streamed, stream_stats) = translate_stream(ssa_forms.iter().cloned(), &options, 0);
 
     let mut total_spills = 0usize;
     let mut total_copies = 0usize;

@@ -126,8 +126,7 @@ fn pool_ranges_stay_disjoint_through_the_pipeline() {
 
 #[test]
 fn pooled_checkout_retire_recheckout_is_bit_identical() {
-    use out_of_ssa::destruct::EngineWorker;
-    use out_of_ssa::destruct::{translate_corpus_serial, translate_stream_pooled_serial};
+    use out_of_ssa::destruct::{translate_corpus, EngineWorker};
     use out_of_ssa::ir::FunctionPool;
 
     let config = GenConfig::small();
@@ -142,7 +141,7 @@ fn pooled_checkout_retire_recheckout_is_bit_identical() {
             func
         })
         .collect();
-    let batch_stats = translate_corpus_serial(&mut batch, &options);
+    let batch_stats = translate_corpus(&mut batch, &options, 1);
 
     // Pooled streaming through one persistent worker: after the first pass
     // every checkout re-uses a slot that already went through a full
@@ -164,23 +163,24 @@ fn pooled_checkout_retire_recheckout_is_bit_identical() {
             Some(func)
         };
         let mut seen = 0usize;
-        let stream_stats =
-            translate_stream_pooled_serial(&mut source, &mut worker, &options, |index, func, _| {
-                assert_eq!(
-                    *func, batch[index],
-                    "pass {pass}: pooled function {index} differs from batch"
-                );
-                assert_eq!(
-                    func.display().to_string(),
-                    batch[index].display().to_string(),
-                    "pass {pass}: pooled printout {index} differs from batch"
-                );
-                assert_pool_ranges_disjoint(func, &format!("pass {pass}, function {index}"));
-                seen += 1;
-            });
+        let stream_stats = worker.drain(&mut source, &options, None, |index, func| {
+            let func = func.expect("plain translation cannot fail");
+            assert_eq!(
+                *func, batch[index],
+                "pass {pass}: pooled function {index} differs from batch"
+            );
+            assert_eq!(
+                func.display().to_string(),
+                batch[index].display().to_string(),
+                "pass {pass}: pooled printout {index} differs from batch"
+            );
+            assert_pool_ranges_disjoint(func, &format!("pass {pass}, function {index}"));
+            seen += 1;
+        });
         assert_eq!(seen, count as usize, "pass {pass}: consumer saw every function");
+        let stream_stats: Vec<_> = stream_stats.results.into_iter().map(Result::unwrap).collect();
         assert_eq!(
-            stream_stats.per_function, batch_stats.per_function,
+            stream_stats, batch_stats.per_function,
             "pass {pass}: pooled stream statistics differ from batch"
         );
     }

@@ -4,8 +4,8 @@ use out_of_ssa::cfggen::{
     generate_ssa_function, pin_call_conventions, spec_like_corpus, GenConfig,
 };
 use out_of_ssa::destruct::{
-    translate_corpus, translate_corpus_serial, translate_corpus_with, translate_out_of_ssa,
-    translate_stream, ClassCheck, InterferenceMode, OutOfSsaOptions,
+    translate_corpus, translate_out_of_ssa, translate_stream, ClassCheck, InterferenceMode,
+    OutOfSsaOptions,
 };
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::{verify_cfg, verify_ssa};
@@ -148,15 +148,15 @@ fn batch_corpus_translation_matches_serial_per_function() {
         serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
 
     let mut batch = functions.clone();
-    let batch_stats = translate_corpus(&mut batch, &options);
+    let batch_stats = translate_corpus(&mut batch, &options, 0);
     assert_eq!(serial_stats, batch_stats.per_function);
     assert_eq!(serial, batch);
 
     // The serial batch path and an explicit two-thread run agree as well.
     let mut batch_serial = functions.clone();
-    let a = translate_corpus_serial(&mut batch_serial, &options);
+    let a = translate_corpus(&mut batch_serial, &options, 1);
     let mut batch_two = functions.clone();
-    let b = translate_corpus_with(&mut batch_two, &options, 2);
+    let b = translate_corpus(&mut batch_two, &options, 2);
     assert_eq!(a.per_function, b.per_function);
     assert_eq!(batch_serial, batch_two);
 }
@@ -172,10 +172,10 @@ fn streaming_engine_is_bit_identical_to_batch_on_the_full_corpus() {
 
     for (name, options) in OutOfSsaOptions::figure5_variants() {
         let mut batch = functions.clone();
-        let batch_stats = translate_corpus(&mut batch, &options);
+        let batch_stats = translate_corpus(&mut batch, &options, 0);
         // The streaming engine consumes an iterator: the input corpus is
         // cloned lazily, one function at a time, never materialized for it.
-        let (streamed, stream_stats) = translate_stream(functions.iter().cloned(), &options);
+        let (streamed, stream_stats) = translate_stream(functions.iter().cloned(), &options, 0);
         assert_eq!(stream_stats.per_function, batch_stats.per_function, "{name}: stats differ");
         for (a, b) in batch.iter().zip(&streamed) {
             assert_eq!(a, b, "{name}: streamed function {} differs from batch", a.name);

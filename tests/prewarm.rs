@@ -4,7 +4,7 @@
 //! translated byte.
 
 use out_of_ssa::cfggen::{generate_ssa_function_into, GenConfig};
-use out_of_ssa::destruct::{translate_stream_pooled_serial, EngineWorker, OutOfSsaOptions};
+use out_of_ssa::destruct::{EngineWorker, OutOfSsaOptions};
 use out_of_ssa::ir::{Function, FunctionPool};
 
 /// Counting allocator for the warm-up assertions below. Registered per test
@@ -36,8 +36,8 @@ fn first_pass(worker: &mut EngineWorker) -> (u64, Vec<Function>) {
     let mut outputs = Vec::new();
     let mut src = source();
     let before = ossa_bench::alloc::allocation_count();
-    translate_stream_pooled_serial(&mut src, worker, &options, |_, func, _| {
-        outputs.push(func.clone());
+    worker.drain(&mut src, &options, None, |_, func| {
+        outputs.push(func.expect("plain translation cannot fail").clone());
     });
     let allocations = ossa_bench::alloc::allocation_count() - before;
     (allocations, outputs)

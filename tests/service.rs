@@ -12,11 +12,8 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
-use out_of_ssa::destruct::{
-    translate_function_isolated_policy, EnginePolicy, Limits, TranslateScratch, ValidationMode,
-};
+use out_of_ssa::destruct::{EnginePolicy, EngineWorker, Limits, ValidationMode};
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::FunctionAnalyses;
 use out_of_ssa::service::{
     AdmissionPolicy, DegradationConfig, ServiceConfig, ServiceError, SubmitError,
     TranslationService,
@@ -31,15 +28,9 @@ fn input(seed: u64) -> Function {
 fn reference(seed: u64, validation: ValidationMode) -> Function {
     let mut func = input(seed);
     let policy = EnginePolicy::validating(validation);
-    translate_function_isolated_policy(
-        &mut func,
-        &Default::default(),
-        &Limits::default(),
-        &policy,
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .expect("healthy input translates");
+    EngineWorker::new()
+        .translate_isolated(&mut func, &Default::default(), &Limits::default(), &policy)
+        .expect("healthy input translates");
     func
 }
 

@@ -14,11 +14,10 @@ use std::time::Duration;
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::fault::failpoints;
 use out_of_ssa::destruct::{
-    translate_function_isolated_policy, EnginePolicy, Limits, OutOfSsaOptions, TranslateError,
-    TranslatePhase, TranslateScratch, ValidationMode,
+    EnginePolicy, EngineWorker, Limits, OutOfSsaOptions, TranslateError, TranslatePhase,
+    ValidationMode,
 };
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::FunctionAnalyses;
 use out_of_ssa::service::{ServiceConfig, ServiceError, TranslationService};
 
 /// Serialises the campaigns: the failpoint configuration is process-wide.
@@ -34,15 +33,14 @@ fn input(seed: u64) -> Function {
 /// the service's rung of that configuration must reproduce bit-for-bit).
 fn reference(seed: u64, options: &OutOfSsaOptions, validation: ValidationMode) -> Function {
     let mut func = input(seed);
-    translate_function_isolated_policy(
-        &mut func,
-        options,
-        &Limits::default(),
-        &EnginePolicy::validating(validation),
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .expect("healthy input translates");
+    EngineWorker::new()
+        .translate_isolated(
+            &mut func,
+            options,
+            &Limits::default(),
+            &EnginePolicy::validating(validation),
+        )
+        .expect("healthy input translates");
     func
 }
 

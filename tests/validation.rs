@@ -4,14 +4,28 @@
 //! every injected output corruption (the paper's lost-copy and swap bug
 //! families) while the recovery ladder heals every poisoned function on the
 //! conservative retry.
+//!
+//! The injectors are process-global, and the tests of this file run in
+//! parallel threads of one process: an engine run outside a campaign would
+//! see another test's armed injector. Every test therefore serialises on
+//! `CAMPAIGN`, not only the campaigns themselves.
+
+use std::sync::{Mutex, MutexGuard};
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    translate_corpus_isolated_policy, translate_corpus_isolated_with, EnginePolicy, Limits,
-    OutOfSsaOptions, RecoveryOutcome, RecoveryPolicy, ValidationMode,
+    translate_corpus_isolated, EnginePolicy, Limits, OutOfSsaOptions, RecoveryOutcome,
+    RecoveryPolicy, ValidationMode,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
+
+/// Serialises every test of this file against the process-global injectors.
+static CAMPAIGN: Mutex<()> = Mutex::new(());
+
+fn campaign() -> MutexGuard<'static, ()> {
+    CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small corpus of distinct healthy SSA functions.
 fn corpus(n: usize) -> Vec<Function> {
@@ -22,17 +36,23 @@ fn corpus(n: usize) -> Vec<Function> {
 
 #[test]
 fn validating_engines_match_passthrough_on_a_healthy_corpus() {
+    let _guard = campaign();
     let options = OutOfSsaOptions::default();
     let mut reference = corpus(12);
-    let reference_stats =
-        translate_corpus_isolated_with(&mut reference, &options, &Limits::UNBOUNDED, 1);
+    let reference_stats = translate_corpus_isolated(
+        &mut reference,
+        &options,
+        &Limits::UNBOUNDED,
+        &EnginePolicy::default(),
+        1,
+    );
     assert_eq!(reference_stats.num_errors(), 0);
 
     for mode in [ValidationMode::Structural, ValidationMode::Differential] {
         for threads in [1, 3] {
             let mut checked = corpus(12);
             let policy = EnginePolicy::validating(mode).with_retries(1);
-            let stats = translate_corpus_isolated_policy(
+            let stats = translate_corpus_isolated(
                 &mut checked,
                 &options,
                 &Limits::UNBOUNDED,
@@ -54,6 +74,7 @@ fn validating_engines_match_passthrough_on_a_healthy_corpus() {
 
 #[test]
 fn validating_pipeline_matches_plain_runs_on_healthy_input() {
+    let _guard = campaign();
     // The pipeline ingests pre-SSA (virtual-register) code.
     let func = generate_function("sc_pipe", &GenConfig::small(), 17);
 
@@ -79,11 +100,6 @@ mod failpoints {
         silence_injected_panics, CorruptionConfig, CorruptionKind, FailpointConfig,
     };
     use out_of_ssa::destruct::{validate_structural, TranslateError, TranslatePhase};
-    use std::sync::Mutex;
-
-    /// The injector configuration is process-global: campaigns must not
-    /// overlap, so every test in this module serialises on this lock.
-    static CAMPAIGN: Mutex<()> = Mutex::new(());
 
     const N: usize = 16;
 
@@ -105,14 +121,20 @@ mod failpoints {
     /// Translates the corpus fault-free (injectors must be disarmed).
     fn fault_free(options: &OutOfSsaOptions) -> Vec<Function> {
         let mut funcs = corpus(N);
-        let stats = translate_corpus_isolated_with(&mut funcs, options, &Limits::UNBOUNDED, 1);
+        let stats = translate_corpus_isolated(
+            &mut funcs,
+            options,
+            &Limits::UNBOUNDED,
+            &EnginePolicy::default(),
+            1,
+        );
         assert_eq!(stats.num_errors(), 0);
         funcs
     }
 
     #[test]
     fn corruption_is_silent_without_validation_and_caught_exactly_by_differential() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = campaign();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -126,8 +148,13 @@ mod failpoints {
             // the engine reports zero errors while a nonempty strict subset
             // of the corpus is mangled — the paper's motivating failure mode.
             let mut victims = corpus(N);
-            let silent =
-                translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+            let silent = translate_corpus_isolated(
+                &mut victims,
+                &options,
+                &Limits::UNBOUNDED,
+                &EnginePolicy::default(),
+                1,
+            );
             assert_eq!(silent.num_errors(), 0, "{kind:?}: corruption must not crash");
             let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
             assert!(
@@ -144,7 +171,7 @@ mod failpoints {
             // run.
             for threads in [1, 3] {
                 let mut checked = corpus(N);
-                let stats = translate_corpus_isolated_policy(
+                let stats = translate_corpus_isolated(
                     &mut checked,
                     &options,
                     &Limits::UNBOUNDED,
@@ -173,7 +200,7 @@ mod failpoints {
 
     #[test]
     fn structural_validation_catches_dropped_copies_without_the_interpreter() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = campaign();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -185,7 +212,13 @@ mod failpoints {
             CorruptionConfig { seed: 1, rate_per_mille: 1000, kind: CorruptionKind::DropCopy };
         configure_corruption(config);
         let mut victims = corpus(N);
-        let silent = translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+        let silent = translate_corpus_isolated(
+            &mut victims,
+            &options,
+            &Limits::UNBOUNDED,
+            &EnginePolicy::default(),
+            1,
+        );
         assert_eq!(silent.num_errors(), 0);
         let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
         assert!(!corrupted.is_empty(), "campaign must corrupt something");
@@ -207,7 +240,7 @@ mod failpoints {
 
         for threads in [1, 3] {
             let mut checked = corpus(N);
-            let stats = translate_corpus_isolated_policy(
+            let stats = translate_corpus_isolated(
                 &mut checked,
                 &options,
                 &Limits::UNBOUNDED,
@@ -236,7 +269,7 @@ mod failpoints {
 
     #[test]
     fn conservative_retry_heals_every_corrupted_function() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = campaign();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -249,7 +282,13 @@ mod failpoints {
             // The corrupted subset, observed through the unvalidating engine.
             configure_corruption(config);
             let mut victims = corpus(N);
-            translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+            translate_corpus_isolated(
+                &mut victims,
+                &options,
+                &Limits::UNBOUNDED,
+                &EnginePolicy::default(),
+                1,
+            );
             let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
             assert!(!corrupted.is_empty(), "{kind:?}: campaign must corrupt something");
 
@@ -257,7 +296,7 @@ mod failpoints {
             // with one conservative retry, every poisoned function heals.
             for threads in [1, 3] {
                 let mut healed = corpus(N);
-                let stats = translate_corpus_isolated_policy(
+                let stats = translate_corpus_isolated(
                     &mut healed,
                     &options,
                     &Limits::UNBOUNDED,
@@ -293,7 +332,7 @@ mod failpoints {
 
     #[test]
     fn injected_panics_recover_on_the_conservative_retry() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = campaign();
         silence_injected_panics();
         let options = OutOfSsaOptions::default();
         clear();
@@ -317,7 +356,7 @@ mod failpoints {
 
         for threads in [1, 3] {
             let mut healed = corpus(N);
-            let stats = translate_corpus_isolated_policy(
+            let stats = translate_corpus_isolated(
                 &mut healed,
                 &options,
                 &Limits::UNBOUNDED,
@@ -346,7 +385,7 @@ mod failpoints {
 
     #[test]
     fn pipeline_rejects_and_then_recovers_a_corrupted_function() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = campaign();
         clear();
         clear_corruption();
         let options = OutOfSsaOptions::default();
