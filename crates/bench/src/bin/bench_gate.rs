@@ -426,3 +426,97 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `BENCH_fig6.json`-shaped report: a nested `phase_seconds` object,
+    /// the `streaming_pass_allocations` array and the nested `pool` object.
+    const FIG6: &str = r#"{
+  "scale": 1,
+  "engines": [
+    {"name": "Sreedhar III", "seconds": 0.047136}
+  ],
+  "batch_serial_seconds": 0.018711,
+  "phase_seconds": {
+    "liveness": 0.003442,
+    "coalesce": 0.012868,
+    "sequentialize": 0.000460
+  },
+  "batch_serial_allocations": 5364,
+  "streaming_pass_allocations": [1807, 335, 333],
+  "streaming_steady_state_allocations": 1.6750,
+  "batch_serial_interference_queries": 32621,
+  "liveness_fallbacks": 7,
+  "pool": {
+    "checkouts": 600,
+    "discarded": 0
+  }
+}
+"#;
+
+    #[test]
+    fn extracts_top_level_and_nested_fields_of_a_fig6_report() {
+        assert_eq!(extract_number(FIG6, "scale"), Some(1.0));
+        assert_eq!(extract_number(FIG6, "batch_serial_seconds"), Some(0.018711));
+        assert_eq!(extract_number(FIG6, "coalesce"), Some(0.012868));
+        assert_eq!(extract_number(FIG6, "sequentialize"), Some(0.000460));
+        assert_eq!(extract_number(FIG6, "batch_serial_allocations"), Some(5364.0));
+        assert_eq!(extract_number(FIG6, "streaming_steady_state_allocations"), Some(1.675));
+        assert_eq!(extract_number(FIG6, "batch_serial_interference_queries"), Some(32621.0));
+        assert_eq!(extract_number(FIG6, "checkouts"), Some(600.0));
+        // An array value is not a number.
+        assert_eq!(extract_number(FIG6, "streaming_pass_allocations"), None);
+        assert_eq!(extract_number(FIG6, "phase_seconds"), None);
+    }
+
+    #[test]
+    fn a_key_never_matches_a_longer_key_it_prefixes() {
+        // `liveness_fallbacks` appears after `liveness` here; the scanner
+        // must stop at the closing quote of the exact key either way.
+        assert_eq!(extract_number(FIG6, "liveness"), Some(0.003442));
+        assert_eq!(extract_number(FIG6, "liveness_fallbacks"), Some(7.0));
+        let fallbacks_first = r#"{"liveness_fallbacks": 7, "liveness": 0.5}"#;
+        assert_eq!(extract_number(fallbacks_first, "liveness"), Some(0.5));
+    }
+
+    #[test]
+    fn parses_exponent_and_negative_numbers() {
+        let json = r#"{"a": 1.5e-3, "b": -2, "c": -4.25E+2, "d":3e2}"#;
+        assert_eq!(extract_number(json, "a"), Some(0.0015));
+        assert_eq!(extract_number(json, "b"), Some(-2.0));
+        assert_eq!(extract_number(json, "c"), Some(-425.0));
+        assert_eq!(extract_number(json, "d"), Some(300.0));
+        assert_eq!(numeric_keys(json), ["a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn a_missing_key_is_none() {
+        assert_eq!(extract_number(FIG6, "service_overload_shed"), None);
+        assert_eq!(extract_number("", "scale"), None);
+        // A key with no `:` after it (here: a string value) is not a field.
+        assert_eq!(extract_number(r#"{"name": "scale"}"#, "scale"), None);
+    }
+
+    #[test]
+    fn numeric_keys_lists_every_numeric_field_once_in_order() {
+        assert_eq!(
+            numeric_keys(FIG6),
+            [
+                "scale",
+                "seconds",
+                "batch_serial_seconds",
+                "liveness",
+                "coalesce",
+                "sequentialize",
+                "batch_serial_allocations",
+                "streaming_steady_state_allocations",
+                "batch_serial_interference_queries",
+                "liveness_fallbacks",
+                "checkouts",
+                "discarded",
+            ]
+        );
+    }
+}

@@ -16,7 +16,8 @@
 //! 3. **Scripted overload counters** — the deterministic pause-script of
 //!    [`ossa_bench::service_load::scripted_overload_stats`]: shed, queue
 //!    expiry and degradation-ladder transitions, machine-independent and
-//!    gated to exact equality.
+//!    gated to exact equality, plus the (ungated) deadline-expiry count.
+//!    This report is the only place the overload counters are measured.
 //!
 //! `--smoke` instead runs a small corpus with assertions on: every
 //! submission admitted, every accepted request resolved exactly once with a
@@ -264,11 +265,12 @@ fn main() {
     let segment: Vec<Function> = functions.iter().take(16).cloned().collect();
     let overload = scripted_overload_stats(&segment);
     println!(
-        "scripted overload: {} accepted, {} shed, {} expired in queue, {} degraded / {} \
-         recovered transitions",
+        "scripted overload: {} accepted, {} shed, {} expired in queue, {} deadline expiries, \
+         {} degraded / {} recovered transitions",
         overload.accepted,
         overload.shed,
         overload.expired_in_queue,
+        overload.deadline_exceeded,
         overload.degraded_transitions,
         overload.recovered_transitions
     );
@@ -290,6 +292,10 @@ fn main() {
     json.push_str(&format!(
         "  \"service_overload_expired_in_queue\": {},\n",
         overload.expired_in_queue
+    ));
+    json.push_str(&format!(
+        "  \"service_overload_deadline_exceeded\": {},\n",
+        overload.deadline_exceeded
     ));
     json.push_str(&format!(
         "  \"service_overload_degraded_transitions\": {},\n",

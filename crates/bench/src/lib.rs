@@ -10,8 +10,10 @@
 //!   footprints of the interference/liveness structures.
 //!
 //! The binaries `fig5_quality`, `fig6_speed`, `fig7_memory` and
-//! `table_corner_cases` print the rows; the Criterion benches wrap the same
-//! code for statistically meaningful timings.
+//! `table_corner_cases` print the rows; `fig6_speed`, `service_bench` and
+//! `alloc_profile` each own a disjoint set of the perf-trajectory numbers.
+//! The one bench, `seq_copies`, times the parallel-copy sequentialization
+//! (Algorithm 1) on its own.
 
 #![warn(missing_docs)]
 // `deny` instead of `forbid`: the counting allocator is the one audited
@@ -237,19 +239,6 @@ pub fn run_variant(workload: &Workload, options: &OutOfSsaOptions) -> (OutOfSsaS
     (stats.total(), start.elapsed().as_secs_f64())
 }
 
-/// Runs one translation variant over one workload through the parallel batch
-/// engine (`threads == 0` selects one worker per core).
-pub fn run_variant_parallel(
-    workload: &Workload,
-    options: &OutOfSsaOptions,
-    threads: usize,
-) -> (OutOfSsaStats, f64) {
-    let mut funcs = workload.functions.clone();
-    let start = Instant::now();
-    let stats = translate_corpus(&mut funcs, options, threads);
-    (stats.total(), start.elapsed().as_secs_f64())
-}
-
 /// Runs one translation variant over one workload through the serial
 /// *streaming* engine (`translate_stream`, one worker). The input
 /// functions are cloned into a queue before the timer starts, so the timed
@@ -284,8 +273,8 @@ pub fn run_variant_seed_style(
     (total, start.elapsed().as_secs_f64())
 }
 
-/// Minimal timing harness used by the `harness = false` benches (no
-/// Criterion in the offline build environment): runs `f` once for warm-up,
+/// Minimal timing harness used by the `harness = false` `seq_copies` bench
+/// (no Criterion in the offline build environment): runs `f` once for warm-up,
 /// then `samples` times, and returns the minimum wall-clock seconds together
 /// with the last result.
 pub fn time_min<R>(samples: usize, mut f: impl FnMut() -> R) -> (f64, R) {

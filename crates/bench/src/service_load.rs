@@ -1,4 +1,5 @@
-//! Deterministic scripted-overload segment shared by the report binaries.
+//! Deterministic scripted-overload segment of `service_bench` (its measured
+//! report and its `--smoke` check).
 //!
 //! Drives a [`TranslationService`] through every gate of its overload model
 //! with the workers *paused*, so queue depth is scripted rather than

@@ -244,8 +244,12 @@ impl VerdictCache {
 /// Sub-stages of the coalesce phase, reported through the profiling probe
 /// installed by [`set_coalesce_probe`]. Each probe call marks the *start* of
 /// the named sub-stage for the function being translated;
-/// [`CoalesceStage::Done`] closes the last one. The `alloc_profile` bench
-/// bin uses this to split the phase's allocation count by sub-stage.
+/// [`CoalesceStage::Done`] closes the last one. Two harnesses install a
+/// probe: the `alloc_profile` bin of `ossa-bench`, which samples the
+/// allocation counter and the clock at each mark to split one translation
+/// pass exactly by sub-stage, and the repository benchmark's compile
+/// workload (`benchmark/src/compile.rs`), which reports the per-sub-stage
+/// `coalesce.*_ms` layers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CoalesceStage {
     /// Universe construction, value numbering, class reset, pinned groups.

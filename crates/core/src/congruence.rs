@@ -259,16 +259,15 @@ impl CongruenceClasses {
         self.labels[value] = func.pinned_reg(value);
     }
 
-    /// The shared clearing pass of [`CongruenceClasses::reset`] and
-    /// [`CongruenceClasses::reset_for`]: reclaim member buffers, truncate
-    /// and zero every dense map, and top up the identity pool.
+    /// The full clearing pass of [`CongruenceClasses::reset`] (and of a
+    /// [`CongruenceClasses::reset_for`] after it): reclaim every member
+    /// buffer, fit the maps to `func`, then zero every slot — all of which
+    /// now belong to the current function.
     fn reset_clear(&mut self, func: &Function) {
-        let num_values = func.num_values();
         // Reclaim every member buffer into the free list in one pass (the
         // buffers cycle through the pool, so no slot keeps one across
-        // functions), then truncate every map: the reset walks below touch
-        // only the current function's slots, so the per-function reset cost
-        // is O(current function), not O(largest function ever seen).
+        // functions). Fitting the maps first bounds the zeroing walk below
+        // by the current function, not the largest function ever seen.
         for i in 0..self.members.len() {
             let slot = &mut self.members[Value::from_index(i)];
             if slot.capacity() > 0 {
@@ -276,16 +275,9 @@ impl CongruenceClasses {
                 self.free.push(std::mem::take(slot));
             }
         }
-        self.parent.truncate(num_values);
-        self.rank.truncate(num_values);
-        self.canon.truncate(num_values);
-        self.members.truncate(num_values);
-        self.labels.truncate(num_values);
-        self.keys.truncate(num_values);
-        self.equal_anc_in.truncate(num_values);
-        self.version.truncate(num_values);
-        // Restore default-equivalent state on every surviving slot without
-        // dropping the per-slot heap allocations.
+        self.fit_to(func.num_values());
+        // Restore default-equivalent state on every slot without dropping
+        // the per-slot heap allocations.
         for cell in self.parent.values_mut() {
             cell.set(None);
         }
@@ -308,30 +300,13 @@ impl CongruenceClasses {
             *version = 0;
         }
         self.queries = 0;
-
-        self.parent.resize(num_values);
-        self.rank.resize(num_values);
-        self.canon.resize(num_values);
-        self.members.resize(num_values);
-        self.labels.resize(num_values);
-        self.keys.resize(num_values);
-        self.equal_anc_in.resize(num_values);
-        self.version.resize(num_values);
-        if self.pool.len() < num_values {
-            self.pool.reserve_exact(num_values - self.pool.len());
-            while self.pool.len() < num_values {
-                self.pool.push(Value::from_index(self.pool.len()));
-            }
-        }
     }
 
     /// The restricted scrub of [`CongruenceClasses::reset_for`]: returns the
     /// slots of the `dirty` list to their defaults while the maps still have
-    /// their previous length (every dirty index was valid then), then
-    /// truncates, resizes and tops up the identity pool exactly like the
-    /// full pass.
+    /// their previous length (every dirty index was valid then), then fits
+    /// the maps to `func` like the full pass.
     fn reset_clear_dirty(&mut self, func: &Function) {
-        let num_values = func.num_values();
         for i in 0..self.dirty.len() {
             let value = self.dirty[i];
             let slot = &mut self.members[value];
@@ -348,7 +323,13 @@ impl CongruenceClasses {
             self.version[value] = 0;
         }
         self.queries = 0;
+        self.fit_to(func.num_values());
+    }
 
+    /// Truncates and resizes every dense map to exactly `num_values` slots
+    /// (new slots read as the default) and tops up the identity pool. The
+    /// caller has already reclaimed the member buffers of dropped slots.
+    fn fit_to(&mut self, num_values: usize) {
         self.parent.truncate(num_values);
         self.rank.truncate(num_values);
         self.canon.truncate(num_values);
@@ -464,11 +445,6 @@ impl CongruenceClasses {
     /// pairs on both sides guarantee a cached verdict is still exact.
     pub fn class_version(&self, root: Value) -> u32 {
         *self.version.get(root)
-    }
-
-    /// Adds externally performed pair queries to the statistics counter.
-    pub fn add_queries(&mut self, count: u64) {
-        self.queries += count;
     }
 
     /// The nearest same-class, same-value, intersecting dominating ancestor
