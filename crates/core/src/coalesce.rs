@@ -637,7 +637,7 @@ pub struct OutOfSsaStats {
 }
 
 /// Per-function verdict of the tiered recovery ladder (see
-/// `RecoveryPolicy` in the engine module).
+/// `EnginePolicy::max_retries` in the engine module).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryOutcome {
     /// The first attempt succeeded — no recovery was needed (also the value

@@ -42,8 +42,10 @@ use crate::coalesce::{
 use crate::fault::{self, Limits, TranslateError, TranslatePhase};
 use crate::validate::{validate_translation, ValidationMode};
 
-/// How many times an isolated engine retries a failed function on the
-/// conservative configuration before giving up.
+/// Self-checking configuration of an isolated engine: what to validate on
+/// each translated function and how hard to try to recover failures. The
+/// default (`Off`, no retries) is a pure pass-through — one attempt, no
+/// pristine snapshot.
 ///
 /// The recovery ladder (attempt 0 = the caller's options; attempts 1.. =
 /// [`OutOfSsaOptions::conservative_fallback`] on a fresh, quarantined
@@ -51,29 +53,12 @@ use crate::validate::{validate_translation, ValidationMode};
 /// validation failure alike — restoring the function from a pristine
 /// pre-translation snapshot between attempts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Retries after the first failed attempt (`0`, the default, reports
-    /// the first error as today).
-    pub max_retries: u32,
-}
-
-impl RecoveryPolicy {
-    /// A policy that retries `max_retries` times.
-    pub fn retries(max_retries: u32) -> Self {
-        Self { max_retries }
-    }
-}
-
-/// Self-checking configuration of an isolated engine: what to validate on
-/// each translated function and how hard to try to recover failures. The
-/// default (`Off`, no retries) is a pure pass-through — one attempt, no
-/// pristine snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnginePolicy {
     /// Post-translation output validation mode.
     pub validation: ValidationMode,
-    /// Retry ladder for failed functions.
-    pub recovery: RecoveryPolicy,
+    /// Conservative retries after the first failed attempt (`0`, the
+    /// default, reports the first error).
+    pub max_retries: u32,
 }
 
 impl EnginePolicy {
@@ -84,14 +69,14 @@ impl EnginePolicy {
 
     /// Adds a recovery ladder of `max_retries` conservative retries.
     pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.recovery = RecoveryPolicy::retries(max_retries);
+        self.max_retries = max_retries;
         self
     }
 
     /// `true` when the policy changes nothing — no validation, no retries —
     /// letting the ladder skip the pristine snapshot entirely.
     pub fn is_passthrough(&self) -> bool {
-        self.validation == ValidationMode::Off && self.recovery.max_retries == 0
+        self.validation == ValidationMode::Off && self.max_retries == 0
     }
 
     /// The policy's rung schedule for [`EngineWorker::climb`], computed on
@@ -103,7 +88,7 @@ impl EnginePolicy {
         options: &'a OutOfSsaOptions,
     ) -> impl Iterator<Item = (u32, OutOfSsaOptions, ValidationMode)> + 'a {
         let validation = self.validation;
-        (0..=self.recovery.max_retries).map(move |rung| {
+        (0..=self.max_retries).map(move |rung| {
             let options = if rung == 0 { options.clone() } else { options.conservative_fallback() };
             (rung, options, validation)
         })
@@ -211,8 +196,8 @@ impl IsolatedCorpusStats {
     }
 
     /// Number of functions the recovery ladder healed (their first attempt
-    /// failed, a conservative retry succeeded). Always 0 without a
-    /// [`RecoveryPolicy`].
+    /// failed, a conservative retry succeeded). Always 0 when
+    /// [`EnginePolicy::max_retries`] is 0.
     pub fn recovered_functions(&self) -> usize {
         self.results
             .iter()
@@ -380,7 +365,7 @@ impl EngineWorker {
     /// up front, the translation runs under a panic boundary with the
     /// fixpoint-fuel budget installed, and the output is validated at the
     /// policy's [`ValidationMode`]. *Any* failure — panic, limit, validation
-    /// — is retried up to `policy.recovery.max_retries` times on the
+    /// — is retried up to `policy.max_retries` times on the
     /// conservative configuration, and the last one is returned as a typed
     /// [`TranslateError`] instead of unwinding into the caller. See
     /// [`EngineWorker::climb`] for the quarantine and snapshot contract.

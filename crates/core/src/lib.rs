@@ -59,7 +59,6 @@ pub use congruence::{CongruenceClasses, DefOrderKey, EqualAncOut};
 pub use engine::{
     translate_corpus, translate_corpus_isolated, translate_stream, translate_stream_isolated,
     Climb, CorpusStats, EnginePolicy, EngineWorker, IsolatedCorpusStats, PooledSource,
-    RecoveryPolicy,
 };
 pub use fault::{catch_translate, Limits, Resource, TranslateError, TranslatePhase};
 pub use insertion::{

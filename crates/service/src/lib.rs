@@ -43,9 +43,9 @@
 //! (each queued request translates or expires — typed either way) before
 //! returning the final [`ServiceStats`].
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -60,7 +60,7 @@ mod stats;
 
 pub use stats::{LatencyHistogram, ServiceStats};
 
-use queue::{PushRefusal, QueueEntry, SharedQueue};
+use queue::{Dequeued, PushRefusal, QueueEntry, SharedQueue};
 
 /// What `submit` does when the bounded queue is full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -287,54 +287,14 @@ impl Ticket {
     }
 }
 
+/// What the service's workers and submitters share. All mutable overload
+/// state — the queue, the degradation level and the [`ServiceStats`] — sits
+/// behind the queue's one lock, and each request event (admission, dequeue,
+/// completion) changes all three in one critical section; see the `queue`
+/// module.
 struct Shared {
     queue: SharedQueue,
     config: ServiceConfig,
-    /// Global degradation level (0, 1 or 2); plain reads are racy-but-safe,
-    /// transitions serialize under the stats lock.
-    level: AtomicU8,
-    stats: Mutex<ServiceStats>,
-}
-
-impl Shared {
-    /// Moves the degradation level one step toward the target the current
-    /// queue depth calls for, recording the transition. `depth` must come
-    /// from the same locked queue operation that triggered the evaluation
-    /// so decisions are atomic with the load they were made under.
-    fn reconcile_level(&self, depth: usize) {
-        let deg = &self.config.degradation;
-        if !deg.enabled() {
-            return;
-        }
-        let mut stats = self.stats.lock().unwrap();
-        let current = self.level.load(Ordering::Relaxed);
-        let target = if depth >= deg.severe_depth {
-            2
-        } else if depth >= deg.degrade_depth {
-            current.max(1)
-        } else if depth <= deg.recover_depth {
-            0
-        } else {
-            current
-        };
-        let next = match target.cmp(&current) {
-            std::cmp::Ordering::Greater => current + 1,
-            std::cmp::Ordering::Less => current - 1,
-            std::cmp::Ordering::Equal => return,
-        };
-        self.level.store(next, Ordering::Relaxed);
-        if next > current {
-            stats.degraded_transitions += 1;
-        } else {
-            stats.recovered_transitions += 1;
-        }
-    }
-
-    fn snapshot_stats(&self) -> ServiceStats {
-        let mut snapshot = self.stats.lock().unwrap().clone();
-        snapshot.level = self.level.load(Ordering::Relaxed);
-        snapshot
-    }
 }
 
 /// The options and validation mode of one absolute ladder rung.
@@ -369,10 +329,8 @@ impl TranslationService {
     pub fn start(config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            queue: SharedQueue::new(config.queue_capacity),
+            queue: SharedQueue::new(config.queue_capacity, config.degradation),
             config,
-            level: AtomicU8::new(0),
-            stats: Mutex::new(ServiceStats::default()),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -408,74 +366,30 @@ impl TranslationService {
     ) -> Result<Ticket, SubmitError> {
         let now = Instant::now();
         let absolute = deadline.map(|d| now + d);
-        self.shared.stats.lock().unwrap().submitted += 1;
-
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(1);
         let entry = QueueEntry { id, func, deadline: absolute, enqueued: now, reply: tx };
-
-        let pushed = match self.shared.config.admission {
-            AdmissionPolicy::Reject => self.shared.queue.push_reject(entry),
-            AdmissionPolicy::ShedOldest => self.shared.queue.push_shed_oldest(entry),
-            AdmissionPolicy::Block => {
-                let wait_until = match (absolute, self.shared.config.max_admission_wait) {
-                    (Some(d), Some(w)) => Some(d.min(now + w)),
-                    (Some(d), None) => Some(d),
-                    (None, Some(w)) => Some(now + w),
-                    (None, None) => None,
-                };
-                self.shared.queue.push_block(entry, wait_until)
-            }
+        let admission = self.shared.config.admission;
+        let wait_until = match (absolute, self.shared.config.max_admission_wait) {
+            (Some(d), Some(w)) => Some(d.min(now + w)),
+            (Some(d), None) => Some(d),
+            (None, Some(w)) => Some(now + w),
+            (None, None) => None,
         };
 
-        match pushed {
-            Ok(admitted) => {
-                {
-                    let mut stats = self.shared.stats.lock().unwrap();
-                    stats.accepted += 1;
-                    stats.max_queue_depth = stats.max_queue_depth.max(admitted.depth as u64);
-                    if admitted.shed.is_some() {
-                        stats.shed += 1;
-                    }
+        match self.shared.queue.push(entry, admission, wait_until) {
+            Ok(shed) => {
+                if let Some((victim, waited)) = shed {
+                    victim.refuse(ServiceError::Shed, waited);
                 }
-                if let Some(victim) = admitted.shed {
-                    let waited = victim.enqueued.elapsed();
-                    self.shared.stats.lock().unwrap().total.record(waited);
-                    let _ = victim.reply.send(ServiceResponse {
-                        id: victim.id,
-                        outcome: Err(ServiceError::Shed),
-                        returned: Some(victim.func),
-                        queue_seconds: waited.as_secs_f64(),
-                        total_seconds: waited.as_secs_f64(),
-                    });
-                }
-                self.shared.reconcile_level(admitted.depth);
                 Ok(Ticket { id, rx })
             }
-            Err(PushRefusal::Full(entry)) => {
-                let mut stats = self.shared.stats.lock().unwrap();
-                let error = match self.shared.config.admission {
-                    AdmissionPolicy::Block => {
-                        stats.admission_timeouts += 1;
-                        SubmitError::AdmissionTimeout(entry.func)
-                    }
-                    _ => {
-                        stats.rejected_queue_full += 1;
-                        SubmitError::QueueFull(entry.func)
-                    }
-                };
-                Err(error)
+            Err(PushRefusal::Full(entry)) if admission == AdmissionPolicy::Block => {
+                Err(SubmitError::AdmissionTimeout(entry.func))
             }
-            Err(PushRefusal::Closed(entry)) => {
-                self.shared.stats.lock().unwrap().rejected_shutdown += 1;
-                Err(SubmitError::ShuttingDown(entry.func))
-            }
+            Err(PushRefusal::Full(entry)) => Err(SubmitError::QueueFull(entry.func)),
+            Err(PushRefusal::Closed(entry)) => Err(SubmitError::ShuttingDown(entry.func)),
         }
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
     }
 
     /// Parks the workers without affecting admission — a deterministic
@@ -492,7 +406,7 @@ impl TranslationService {
     /// A live statistics snapshot. Worker pool traffic is merged only at
     /// shutdown; everything else is current.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.snapshot_stats()
+        self.shared.queue.stats()
     }
 
     /// Shuts down: closes admission, drains the backlog (every queued
@@ -503,53 +417,28 @@ impl TranslationService {
         for handle in self.workers {
             let _ = handle.join();
         }
-        self.shared.snapshot_stats()
+        self.shared.queue.stats()
     }
 }
 
 fn worker_loop(shared: &Shared) {
     let mut engine = EngineWorker::new();
-    while let Some((entry, depth)) = shared.queue.pop() {
-        shared.reconcile_level(depth);
-        serve(shared, &mut engine, entry);
+    while let Some(dequeued) = shared.queue.pop() {
+        serve(shared, &mut engine, dequeued);
     }
-    let pool = engine.pool.stats();
-    let mut stats = shared.stats.lock().unwrap();
-    stats.pool.checkouts += pool.checkouts;
-    stats.pool.recycled += pool.recycled;
-    stats.pool.retired += pool.retired;
-    stats.pool.discarded += pool.discarded;
+    shared.queue.merge_pool(engine.pool.stats());
 }
 
-/// Runs one accepted request through the deadline check and the ladder,
-/// and sends its single reply.
-fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
-    let dequeued = Instant::now();
-    let waited = dequeued.saturating_duration_since(entry.enqueued);
-
-    if entry.deadline.is_some_and(|d| dequeued >= d) {
-        let mut stats = shared.stats.lock().unwrap();
-        stats.expired_in_queue += 1;
-        stats.queue_wait.record(waited);
-        stats.total.record(waited);
-        drop(stats);
-        let _ = entry.reply.send(ServiceResponse {
-            id: entry.id,
-            outcome: Err(ServiceError::ExpiredInQueue),
-            returned: Some(entry.func),
-            queue_seconds: waited.as_secs_f64(),
-            total_seconds: waited.as_secs_f64(),
-        });
-        return;
-    }
-
-    let level = shared.level.load(Ordering::Relaxed).min(2);
-    {
-        let mut stats = shared.stats.lock().unwrap();
-        stats.per_level[level as usize] += 1;
-        stats.queue_wait.record(waited);
-    }
-
+/// Replies to an expired request, or runs it through the ladder from the
+/// degradation level it was dequeued at, records its outcome and sends its
+/// single reply.
+fn serve(shared: &Shared, engine: &mut EngineWorker, dequeued: Dequeued) {
+    let (entry, level, dequeued, waited) = match dequeued {
+        Dequeued::Expired { entry, waited } => {
+            return entry.refuse(ServiceError::ExpiredInQueue, waited)
+        }
+        Dequeued::Ready { entry, level, dequeued, waited } => (entry, level, dequeued, waited),
+    };
     // The ladder starts at the degradation level. The deadline is a property
     // of the request: it spans every rung and backoff, and is cleared before
     // the worker touches the next request.
@@ -578,31 +467,18 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
     fuel::set_deadline(None);
 
     let finished = Instant::now();
-    let translate_seconds = finished.saturating_duration_since(dequeued).as_secs_f64();
+    let translate = finished.saturating_duration_since(dequeued);
     let total = finished.saturating_duration_since(entry.enqueued);
-    let mut stats = shared.stats.lock().unwrap();
-    stats.validation_failures += climb.validation_failures as u64;
-    stats.translate.record(finished.saturating_duration_since(dequeued));
-    stats.total.record(total);
     let (outcome, returned) = match climb.result {
-        Ok(rung_stats) => {
-            stats.completed += 1;
-            if climb.rung > start_rung {
-                stats.recovered += 1;
-            }
+        Ok(stats) => {
             let rung = climb.rung as u8;
-            (Ok(Completed { func, stats: rung_stats, level, rung, translate_seconds }), None)
+            let translate_seconds = translate.as_secs_f64();
+            (Ok(Completed { func, stats, level, rung, translate_seconds }), None)
         }
-        Err(error) => {
-            stats.failed += 1;
-            if matches!(error, TranslateError::DeadlineExceeded { .. }) {
-                stats.deadline_exceeded += 1;
-            }
-            // The ladder restored `func` from its pristine snapshot.
-            (Err(ServiceError::Translate(error)), Some(func))
-        }
+        // The ladder restored `func` from its pristine snapshot.
+        Err(error) => (Err(ServiceError::Translate(error)), Some(func)),
     };
-    drop(stats);
+    shared.queue.complete(&outcome, climb.validation_failures, translate, total);
     let _ = entry.reply.send(ServiceResponse {
         id: entry.id,
         outcome,
@@ -687,13 +563,17 @@ mod tests {
         assert_eq!(stats.resolved(), 0);
         // The queue is closed; a late push refuses with ShuttingDown.
         let (tx, _rx) = sync_channel(1);
-        let refusal = shared.queue.push_reject(QueueEntry {
-            id: 99,
-            func: input(0),
-            deadline: None,
-            enqueued: Instant::now(),
-            reply: tx,
-        });
+        let refusal = shared.queue.push(
+            QueueEntry {
+                id: 99,
+                func: input(0),
+                deadline: None,
+                enqueued: Instant::now(),
+                reply: tx,
+            },
+            AdmissionPolicy::Reject,
+            None,
+        );
         assert!(matches!(refusal, Err(PushRefusal::Closed(_))));
     }
 

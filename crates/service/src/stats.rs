@@ -98,8 +98,8 @@ pub struct ServiceStats {
     pub accepted: u64,
     /// Requests refused with `SubmitError::QueueFull` (Reject admission).
     pub rejected_queue_full: u64,
-    /// Requests refused with `SubmitError::Timeout` (Block admission wait
-    /// exhausted before space opened).
+    /// Requests refused with `SubmitError::AdmissionTimeout` (Block
+    /// admission wait exhausted before space opened).
     pub admission_timeouts: u64,
     /// Requests refused because the service was shutting down.
     pub rejected_shutdown: u64,

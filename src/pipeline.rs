@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use ossa_destruct::fault::{self, TranslatePhase};
 use ossa_destruct::{
     translate_out_of_ssa_scratch, EnginePolicy, EngineWorker, Limits, OutOfSsaOptions,
-    OutOfSsaStats, RecoveryPolicy, TranslateError, ValidationMode,
+    OutOfSsaStats, TranslateError, ValidationMode,
 };
 use ossa_ir::Function;
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
@@ -169,9 +169,9 @@ impl Pipeline {
     /// failure (panic, limit, validation), the function is restored from
     /// its pristine snapshot and re-run on the conservative configuration
     /// ([`OutOfSsaOptions::conservative_fallback`]) up to
-    /// `recovery.max_retries` times.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.policy.recovery = recovery;
+    /// `max_retries` times.
+    pub fn with_retries(mut self, max_retries: u32) -> Self {
+        self.policy.max_retries = max_retries;
         self
     }
 

@@ -9,6 +9,7 @@
 //! duplicated — refusals and failures hand the input back.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
@@ -237,4 +238,41 @@ fn degradation_ladder_is_deterministic_under_scripted_depth() {
     assert_eq!(responses.last().unwrap().outcome.as_ref().unwrap().level, 0);
     assert_eq!(stats.per_level.iter().sum::<u64>(), 9);
     assert!(stats.per_level[1] + stats.per_level[2] > 0);
+}
+
+#[test]
+fn live_snapshots_balance_while_requests_are_in_flight() {
+    let service = TranslationService::start(ServiceConfig {
+        workers: 2,
+        queue_capacity: 4,
+        admission: AdmissionPolicy::ShedOldest,
+        ..ServiceConfig::default()
+    });
+    let submitting = AtomicUsize::new(2);
+    std::thread::scope(|scope| {
+        for submitter in 0..2u64 {
+            let (service, submitting) = (&service, &submitting);
+            scope.spawn(move || {
+                for i in 0..150u64 {
+                    // Every other request is already due: it expires at
+                    // dequeue without translating.
+                    let deadline = (i % 2 == 0).then_some(Duration::ZERO);
+                    let func = input(submitter * 1000 + i);
+                    service.submit_with_deadline(func, deadline).expect("always admitted");
+                }
+                submitting.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        while submitting.load(Ordering::SeqCst) > 0 {
+            let live = service.stats();
+            assert!(live.resolved() <= live.accepted, "{live:?}");
+            let refused =
+                live.rejected_queue_full + live.admission_timeouts + live.rejected_shutdown;
+            assert!(live.accepted + refused <= live.submitted, "{live:?}");
+        }
+    });
+    let stats = service.shutdown();
+    assert_eq!(stats.submitted, 300);
+    assert_eq!(stats.accepted, 300);
+    assert_eq!(stats.resolved(), stats.accepted);
 }

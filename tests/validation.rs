@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
     translate_corpus_isolated, EnginePolicy, Limits, OutOfSsaOptions, RecoveryOutcome,
-    RecoveryPolicy, ValidationMode,
+    ValidationMode,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
@@ -84,7 +84,7 @@ fn validating_pipeline_matches_plain_runs_on_healthy_input() {
     let mut checked = func.clone();
     let mut pipeline = Pipeline::new(OutOfSsaOptions::default())
         .with_validation(ValidationMode::Differential)
-        .with_recovery(RecoveryPolicy::retries(1));
+        .with_retries(1);
     let checked_report = pipeline.try_run(&mut checked).unwrap();
     assert_eq!(checked, plain);
     assert_eq!(checked_report.translation, report.translation);
@@ -440,7 +440,7 @@ mod failpoints {
         // conservative configuration.
         let mut pipeline = Pipeline::new(options.clone())
             .with_validation(ValidationMode::Differential)
-            .with_recovery(RecoveryPolicy::retries(1));
+            .with_retries(1);
         let mut func = victim.clone();
         let report = pipeline.try_run(&mut func).unwrap();
         assert_eq!(report.translation.recovery, RecoveryOutcome::Recovered { attempt: 2 });
